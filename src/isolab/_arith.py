@@ -1,0 +1,249 @@
+"""Exact integer and polynomial arithmetic shared by the whole package.
+
+Integers: deterministic primality, factorization, divisors, Euler's phi
+and p-adic valuations.  Polynomials are dense coefficient lists, lowest
+degree first; every routine that returns a polynomial returns a fresh
+trimmed list.  Without a modulus they compute over Q (ints and
+`Fraction`s), with a prime modulus `p` over F_p; the modulus is tested
+outside the coefficient loops.  The algorithms are the classical ones of
+von zur Gathen and Gerhard, *Modern Computer Algebra*, Ch. 14.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from .errors import InputError
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# ---------------------------------------------------------------------------
+# integers
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin, valid far beyond any input used here."""
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def factor_int(n):
+    """{prime: exponent} of |n| for n != 0."""
+    n = abs(n)
+    out = {}
+    for q in (2, 3, 5, 7, 11, 13):
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+    f = 17
+    while f * f <= n and f < 100000:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 2
+    if n > 1:
+        for q in _factor_large(n):
+            out[q] = out.get(q, 0) + 1
+    return out
+
+
+def _factor_large(n):
+    if n == 1:
+        return []
+    if is_prime(n):
+        return [n]
+    d = _pollard_rho(n)
+    return sorted(_factor_large(d) + _factor_large(n // d))
+
+
+def _pollard_rho(n):
+    if n % 2 == 0:
+        return 2
+    for c in range(1, 50):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(abs(x - y), n)
+        if d != n:
+            return d
+    raise InputError("integer too hard to factor: %d" % n)
+
+
+def divisors(n):
+    """Positive divisors of n != 0, ascending."""
+    out = [1]
+    for q, k in factor_int(n).items():
+        out = [d * q**i for d in out for i in range(k + 1)]
+    return sorted(out)
+
+
+def euler_phi(n):
+    out = n
+    for q in factor_int(n):
+        out -= out // q
+    return out
+
+
+def vp(n, p):
+    """p-adic valuation of a nonzero integer."""
+    if not n:
+        raise InputError("valuation of zero")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def base_p_digits(n, p):
+    """Number of base-p digits of n >= 0 (0 for n = 0)."""
+    d = 0
+    while n:
+        n //= p
+        d += 1
+    return d
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Q (p None) or F_p
+
+
+def poly_trim(a):
+    """Copy of a without trailing zero coefficients."""
+    return _trim(list(a))
+
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def poly_eval(a, x):
+    """Horner evaluation at x (an int, a Fraction or a ring element)."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def poly_deriv(a, p=None):
+    d = [i * c for i, c in enumerate(a)][1:]
+    return _trim(d if p is None else [c % p for c in d])
+
+
+def poly_add(a, b, p=None):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out if p is None else [c % p for c in out])
+
+
+def poly_sub(a, b, p=None):
+    return poly_add(a, [-c for c in b], p)
+
+
+def poly_mul(a, b, p=None):
+    out = _product(a, b)
+    return _trim(out if p is None else [c % p for c in out])
+
+
+def _product(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
+
+
+def poly_divmod(a, b, p=None):
+    """(quotient, remainder) of a by a nonzero trimmed b."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p) if p is not None else 1 / Fraction(b[-1])
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] * inv % p if p is not None else a[i] * inv
+        if c:
+            q[i - db] = c
+            for j, bj in enumerate(b, i - db):
+                a[j] -= c * bj
+    del a[db:]
+    return _trim(q), _trim(a if p is None else [c % p for c in a])
+
+
+def poly_gcd(a, b, p=None):
+    """Monic gcd; empty when a and b are both zero."""
+    a, b = poly_trim(a), poly_trim(b)
+    while b:
+        a, b = b, poly_divmod(a, b, p)[1]
+    if not a:
+        return a
+    if p is not None:
+        inv = pow(a[-1], -1, p)
+        return [c * inv % p for c in a]
+    lead = Fraction(a[-1])
+    return [c / lead for c in a]
+
+
+def poly_mulmod(a, b, f, p=None):
+    return poly_divmod(_product(a, b), f, p)[1]
+
+
+def poly_powmod(a, e, f, p=None):
+    """a^e mod f by square-and-multiply; [1] for e <= 0."""
+    out = [1]
+    while e > 0:
+        if e & 1:
+            out = poly_mulmod(out, a, f, p)
+        a = poly_mulmod(a, a, f, p)
+        e >>= 1
+    return out
+
+
+def factor_degrees(coeffs, p):
+    """Degrees (with multiplicity) of the irreducible factors of an integer
+    polynomial mod p, by distinct-degree factorization; None when the
+    reduction loses degree or is not squarefree."""
+    f = poly_trim([c % p for c in coeffs])
+    if len(f) != len(coeffs):
+        return None
+    if len(poly_gcd(f, poly_deriv(f, p), p)) != 1:
+        return None
+    degrees = []
+    k = 0
+    w = [0, 1]
+    while len(f) - 1 >= 2 * (k + 1):
+        k += 1
+        w = poly_powmod(w, p, f, p)  # x^(p^k) mod f
+        g = poly_gcd(poly_sub(w, [0, 1], p), f, p)
+        if len(g) > 1:
+            degrees.extend([k] * ((len(g) - 1) // k))
+            f = poly_divmod(f, g, p)[0]
+            w = poly_divmod(w, f, p)[1]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees

@@ -16,6 +16,7 @@ collapse to the single rule
 
 from fractions import Fraction
 
+from ._arith import base_p_digits, euler_phi
 from .errors import InputError, PrecisionError
 from .unramified import parse_ff, render_ff, unramified_ring
 from .witt import WittElement
@@ -187,38 +188,12 @@ class CartierElement:
 def _from_int(ctx, k):
     """The integer k inside the W(F_{p^m}) subring: Teichmuller digits of
     k on the main diagonal, rows (b, b)."""
-    guard = _euler_phi(ctx.p**ctx.m - 1) * (_base_p_digits(abs(k), ctx.p) + 1) + 2
+    guard = euler_phi(ctx.p**ctx.m - 1) * (base_p_digits(abs(k), ctx.p) + 1) + 2
     ring = unramified_ring(ctx.p, ctx.m, ctx.vcap + guard)
-    v = ring.from_int(k)
-    raw = []
-    for b in range(ctx.vcap):
-        r = v.residue()
-        v = (v - ring.teichmuller(r)).exact_div_p()
-        if not r.is_zero():
-            raw.append((b, b, r.frobenius(b)))
+    digits, rest = ring.teichmuller_digits(ring.from_int(k), ctx.vcap)
+    raw = [(b, b, r.frobenius(b)) for b, r in enumerate(digits) if not r.is_zero()]
     pg = ctx.p**guard
-    return cartier_normalize(ctx, raw, truncated=any(c % pg for c in v.coeffs))
-
-
-def _base_p_digits(n, p):
-    d = 0
-    while n:
-        n //= p
-        d += 1
-    return d
-
-
-def _euler_phi(n):
-    out, k = n, 2
-    while k * k <= n:
-        if n % k == 0:
-            out -= out // k
-            while n % k == 0:
-                n //= k
-        k += 1
-    if n > 1:
-        out -= out // n
-    return out
+    return cartier_normalize(ctx, raw, truncated=any(c % pg for c in rest.coeffs))
 
 
 def cartier_normalize(context, raw_terms, truncated=False):
@@ -247,20 +222,18 @@ def cartier_normalize(context, raw_terms, truncated=False):
             continue
         diagonals.setdefault(a - b, []).append((a, b, c))
     table = {}
-    phi = _euler_phi(p**m - 1) if p**m > 2 else 1
+    phi = euler_phi(p**m - 1)
     for i, terms in diagonals.items():
         digits = A - i  # positions b = 0..A-i-1 cover all rows a < A
         weight = sum(p**b for _, b, _ in terms) + p**digits  # bound on sum|n_j|
-        guard = phi * _base_p_digits(weight, p) + 2
+        guard = phi * base_p_digits(weight, p) + 2
         ring = unramified_ring(p, m, digits + guard)
         acc = ring.zero()
         for a, b, c in terms:
             tau = ring.teichmuller(c.frobenius_inv(a))
             acc = acc + ring.from_int(p) ** b * tau
-        v = acc
-        for b in range(digits):
-            r = v.residue()
-            v = (v - ring.teichmuller(r)).exact_div_p()
+        residues, v = ring.teichmuller_digits(acc, digits)
+        for b, r in enumerate(residues):
             if r.is_zero():
                 continue
             a = i + b

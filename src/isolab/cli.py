@@ -55,8 +55,6 @@ class RunConfig:
     m: int = 1
     N: int = 6
     vcap: int = 8
-    fmt: str = "text"
-    seed: int = 0
 
     @staticmethod
     def from_args(args):
@@ -69,8 +67,6 @@ class RunConfig:
             m=getattr(args, "m", 1) or 1,
             N=n,
             vcap=getattr(args, "vcap", 8) or 8,
-            fmt=getattr(args, "format", "text"),
-            seed=getattr(args, "seed", 0) or 0,
         )
         if cfg.N < 2:
             raise InputError("precision N must be >= 2")
@@ -83,6 +79,37 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, "%s: error: %s\n" % (self.prog, message))
+
+
+# Options an action cannot run without, by attribute name; actions that
+# accept alternatives (--pairs or --json, say) check their own input.
+_NEEDS = {
+    ("np", "compare"): ("a", "b"),
+    ("weil", "verify"): ("minpoly", "p", "n"),
+    ("weil", "classify"): ("minpoly", "p", "n"),
+    ("witt", "ghost"): ("coords",),
+    ("witt", "teichmuller"): ("a",),
+    ("cartier", "mul"): ("x", "y"),
+    ("cartier", "act"): ("x", "w"),
+    ("dieudonne", "gmn"): ("gm", "gn"),
+    ("dieudonne", "a-number"): ("json",),
+    ("dieudonne", "dual"): ("json",),
+    ("dieudonne", "np-display"): ("json",),
+    ("dieudonne", "np-sigma-trivial"): ("json",),
+    ("dieudonne", "serre-tate-torsion"): ("exponents",),
+    ("semimod", "from-jumps"): ("jumps",),
+    ("poset", "chain"): ("frm", "to"),
+    ("poset", "witness"): ("frm", "to"),
+}
+_FLAGS = {"frm": "--from", "gm": "--m", "gn": "--n"}
+
+
+def _missing_flags(args):
+    """The flags the chosen action needs but was not given."""
+    if args.command == "weil" and args.json:
+        return []
+    needs = _NEEDS.get((args.command, getattr(args, "action", None)), ())
+    return [_FLAGS.get(name, "--" + name) for name in needs if getattr(args, name) is None]
 
 
 _PAIR_TERM = re.compile(r"^(?:(\d+)\*)?\((\d+),(\d+)\)$")
@@ -437,7 +464,6 @@ def _cmd_poset(args):
 def build_parser():
     root = _Parser(prog="isocrystal-lab", description=__doc__)
     root.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    root.add_argument("--seed", type=int, default=0, help="seed for randomized batch runs")
     sub = root.add_subparsers(dest="command", required=True)
 
     np_p = sub.add_parser("np", help="Newton polygon operations")
@@ -527,6 +553,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        missing = _missing_flags(args)
+        if missing:
+            parser.error("%s %s requires %s" % (args.command, args.action, ", ".join(missing)))
     except SystemExit as ex:
         return ex.code if ex.code is not None else USAGE_EXIT
     try:

@@ -11,7 +11,9 @@ torus quotients.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
+from ._arith import vp
 from .errors import InputError, PrecisionError
 from .newton import ValuationPolygon, lower_convex_hull, np_from_slopes
 from .snf import elementary_divisors
@@ -66,7 +68,7 @@ class DieudonnePresentation:
             raise InputError("det valuation is only computed over F_p")
         c = _char_poly_int(self.F)
         det = c[-1] % self.context.ring.pN
-        return _int_valuation(det, self.context.p, self.context.N)
+        return vp(det, self.context.p) if det else None
 
     def to_json(self):
         def entry(e):
@@ -125,16 +127,6 @@ def _transpose(M):
     return tuple(tuple(M[j][i] for j in range(len(M))) for i in range(len(M)))
 
 
-def _int_valuation(value, p, N):
-    if value % p**N == 0:
-        return None
-    v = 0
-    while value % p == 0:
-        value //= p
-        v += 1
-    return v
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -142,8 +134,6 @@ def gmn_module(m, n, context):
     """The rank m+n cyclic presentation of the pure-slope building block:
     F e_i = e_{i+m}, V e_i = e_{i+n}, e_{i+h} = p e_i.  Tagged ht = m+n,
     dim = m; F^h = p^m on the whole module."""
-    from math import gcd
-
     if m < 0 or n < 0 or (m == 0 and n == 0):
         raise InputError("need m, n >= 0, not both zero")
     if gcd(m, n) != 1:
@@ -355,7 +345,7 @@ def np_sigma_trivial(matrix_or_pres, context=None):
         ci = c[i] % pN
         if ci == 0:
             continue  # true valuation >= N > certified hull; irrelevant
-        points.append((i, _int_valuation(ci, p, N)))
+        points.append((i, vp(ci, p)))
     return ValuationPolygon(h, points)
 
 

@@ -9,8 +9,9 @@ floating point in this module.
 
 from enum import Enum
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd
 
+from ._arith import is_prime, vp
 from .errors import InputError
 
 __all__ = [
@@ -343,23 +344,6 @@ class ValuationPolygon:
         return "ValuationPolygon(deg=%d, vertices=%s)" % (self.degree, list(self.vertices))
 
 
-def _vp(x, p):
-    """p-adic valuation of a rational, inf for 0."""
-    x = Fraction(x)
-    if x == 0:
-        return inf
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def np_of_polynomial(coefficients, p):
     """Valuation polygon of a monic polynomial, leading coefficient first.
 
@@ -370,37 +354,13 @@ def np_of_polynomial(coefficients, p):
     coeffs = [Fraction(c) for c in coefficients]
     if not coeffs or coeffs[0] != 1:
         raise InputError("polynomial must be monic (leading coefficient 1 first)")
-    if p < 2 or not _is_prime(p):
+    if p < 2 or not is_prime(p):
         raise InputError("%r is not prime" % (p,))
     h = len(coeffs) - 1
     if h < 1:
         raise InputError("degree must be at least 1")
-    points = [(j, _vp(c, p)) for j, c in enumerate(coeffs) if c != 0]
+    points = [(j, vp(c.numerator, p) - vp(c.denominator, p)) for j, c in enumerate(coeffs) if c != 0]
     return ValuationPolygon(h, points)
-
-
-def _is_prime(n):
-    """Deterministic Miller-Rabin, valid far beyond any input used here."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def np_from_json(obj):

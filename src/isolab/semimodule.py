@@ -43,10 +43,6 @@ class SemiModule:
             if not (self.contains(a + m) and self.contains(a + n)):
                 raise InputError("head set is not closed under +m, +n")
 
-    @property
-    def normalized(self):
-        return True
-
     def contains(self, x):
         return x >= 2 * self.r or x in self.heads
 

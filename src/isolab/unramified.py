@@ -10,86 +10,8 @@ certifiable.
 
 from functools import lru_cache
 
+from ._arith import factor_degrees, poly_deriv, poly_divmod, poly_mul, poly_mulmod, poly_sub, poly_trim, vp
 from .errors import InputError, PrecisionError
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over F_p (coefficient lists, low degree first)
-
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mulmod(a, b, f, p):
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_rem(res, f, p)
-
-
-def _poly_rem(a, f, p):
-    a = a[:]
-    df = len(f) - 1
-    inv_lead = pow(f[-1], -1, p)
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i] % p
-        if c:
-            q = c * inv_lead % p
-            for j in range(df + 1):
-                a[i - df + j] = (a[i - df + j] - q * f[j]) % p
-    del a[df:]
-    return _poly_trim(a)
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    return a
-
-
-def _poly_powmod_frob(f, p, k):
-    """x^(p^k) mod f over F_p, via k-fold composition of x^p mod f."""
-    xp = _poly_rem([0] * p + [1], f, p)
-    out = [0, 1]
-    for _ in range(k):
-        out = _poly_compose(out, xp, f, p)
-    return out
-
-
-def _poly_compose(g, h, f, p):
-    out = []
-    for c in reversed(g):
-        out = _poly_mulmod(out, h, f, p)
-        if c:
-            if not out:
-                out = [c % p]
-            else:
-                out[0] = (out[0] + c) % p
-            out = _poly_trim(out)
-    return out
-
-
-def _is_irreducible(f, p):
-    m = len(f) - 1
-    if _poly_powmod_frob(f, p, m) != [0, 1]:
-        return False
-    for ell in {q for q in range(2, m + 1) if m % q == 0 and _prime(q)}:
-        g = _poly_powmod_frob(f, p, m // ell)
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % p  # g := x^(p^(m/ell)) - x
-        if len(_poly_gcd(_poly_trim(g), list(f), p)) != 1:
-            return False
-    return True
-
-
-def _prime(n):
-    return n > 1 and all(n % k for k in range(2, int(n**0.5) + 1))
 
 
 def default_modulus(p, m):
@@ -98,15 +20,9 @@ def default_modulus(p, m):
     for all, so rendered elements are reproducible."""
     if m == 1:
         return (0, 1)  # F_p = Z[x]/(p, x)
-    bound = p**m
-    for code in range(bound):
-        coeffs = []
-        c = code
-        for _ in range(m):
-            coeffs.append(c % p)
-            c //= p
-        f = coeffs + [1]
-        if _is_irreducible(f, p):
+    for code in range(p**m):
+        f = [code // p**i % p for i in range(m)] + [1]
+        if factor_degrees(f, p) == [m]:
             return tuple(f)
     raise InputError("no irreducible polynomial found (impossible)")
 
@@ -138,8 +54,7 @@ class FFElement:
 
     def __mul__(self, other):
         other = self.field.coerce(other)
-        prod = _poly_mulmod(list(self.coeffs), list(other.coeffs), list(self.field.modulus), self.field.p)
-        return FFElement(self.field, prod)
+        return FFElement(self.field, poly_mulmod(self.coeffs, other.coeffs, self.field.modulus, self.field.p))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -160,13 +75,13 @@ class FFElement:
         if self.is_zero():
             raise InputError("inverse of zero")
         # extended Euclid in F_p[x]
-        p, f = self.field.p, list(self.field.modulus)
-        r0, r1 = f[:], _poly_trim(list(self.coeffs))
+        p = self.field.p
+        r0, r1 = self.field.modulus, poly_trim(self.coeffs)
         s0, s1 = [], [1]
         while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1, p)
+            q, r = poly_divmod(r0, r1, p)
             r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
+            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
         c = pow(r1[0], -1, p)
         return FFElement(self.field, [c * x % p for x in s1])
 
@@ -189,36 +104,6 @@ class FFElement:
 
     def __repr__(self):
         return "FF(%s)" % render_ff(self)
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_trim(res)
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _poly_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)])
-
-
-def _poly_divmod(a, b, p):
-    a = a[:]
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            qq = c * inv % p
-            q[i - db] = qq
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - qq * b[j]) % p
-    return _poly_trim(q), _poly_trim(a[:db])
 
 
 class FiniteField:
@@ -256,14 +141,8 @@ class FiniteField:
 
     def elements(self):
         """All p^m elements, in a fixed order."""
-        out = []
-        for code in range(self.p**self.m):
-            c, coeffs = code, []
-            for _ in range(self.m):
-                coeffs.append(c % self.p)
-                c //= self.p
-            out.append(FFElement(self, coeffs))
-        return out
+        p, m = self.p, self.m
+        return [FFElement(self, [code // p**i % p for i in range(m)]) for code in range(p**m)]
 
     def __repr__(self):
         return "FiniteField(%d^%d)" % (self.p, self.m)
@@ -382,12 +261,7 @@ class UElement:
         precision N (meaning ">= N", never a number)."""
         if self.is_zero():
             return None
-        v, p = 0, self.ring.p
-        coeffs = list(self.coeffs)
-        while all(c % p == 0 for c in coeffs):
-            coeffs = [c // p for c in coeffs]
-            v += 1
-        return v
+        return min(vp(c, self.ring.p) for c in self.coeffs if c)
 
     def residue(self):
         return FFElement(self.ring.field, [c % self.ring.p for c in self.coeffs])
@@ -467,28 +341,23 @@ class UnramifiedRing:
         x = UElement(self, [0, 1])
         r = x ** self.p
         for _ in range(max(1, (self.N - 1).bit_length() + 1)):
-            fr = self._eval_int_poly(self.modulus, r)
-            dfr = self._eval_int_poly(_derivative(self.modulus), r)
+            fr = self._eval_poly(self.modulus, r)
+            dfr = self._eval_poly(poly_deriv(self.modulus), r)
             r = r - fr * dfr.inverse()
-        if not self._eval_int_poly(self.modulus, r).is_zero():
+        if not self._eval_poly(self.modulus, r).is_zero():
             raise PrecisionError("Frobenius lift did not converge")
         powers = [UElement(self, [0, 1]), r]
         for _ in range(2, self.m):
-            powers.append(self._eval_poly(powers[-1], r))
+            powers.append(self._eval_poly(powers[-1].coeffs, r))
         # sigma^m must be the identity on the generator
-        if self._eval_poly(powers[-1], r) != powers[0]:
+        if self._eval_poly(powers[-1].coeffs, r) != powers[0]:
             raise PrecisionError("sigma^m != id; modulus not unramified-compatible")
         return powers
 
-    def _eval_int_poly(self, coeffs, point):
+    def _eval_poly(self, coeffs, point):
+        """Horner evaluation of an integer coefficient sequence at point."""
         out = self.zero()
         for c in reversed(coeffs):
-            out = out * point + self.from_int(c)
-        return out
-
-    def _eval_poly(self, elem, point):
-        out = self.zero()
-        for c in reversed(elem.coeffs):
             out = out * point + self.from_int(c)
         return out
 
@@ -512,7 +381,7 @@ class UnramifiedRing:
         k %= self.m
         if k == 0 or self.m == 1:
             return elem
-        return self._eval_poly(elem, self._sigma_powers[k])
+        return self._eval_poly(elem.coeffs, self._sigma_powers[k])
 
     def sigma_inv(self, elem, k=1):
         return self.sigma(elem, self.m - (k % self.m))
@@ -524,6 +393,16 @@ class UnramifiedRing:
         e = UElement(self, list(c.coeffs))
         return e ** (self.p ** (self.m * (self.N - 1)))
 
+    def teichmuller_digits(self, v, k):
+        """The first k Teichmuller digits r_0..r_{k-1} of v, as residues
+        (v = sum p^i [r_i] + p^k w), and the remainder w."""
+        digits = []
+        for _ in range(k):
+            r = v.residue()
+            digits.append(r)
+            v = (v - self.teichmuller(r)).exact_div_p()
+        return digits, v
+
     def reduce_from(self, elem):
         """Reduce an element of a higher-precision ring over the same field."""
         if (elem.ring.p, elem.ring.m) != (self.p, self.m) or elem.ring.modulus != self.modulus:
@@ -534,10 +413,6 @@ class UnramifiedRing:
 
     def __repr__(self):
         return "UnramifiedRing(p=%d, m=%d, N=%d)" % (self.p, self.m, self.N)
-
-
-def _derivative(coeffs):
-    return [i * c for i, c in enumerate(coeffs)][1:]
 
 
 @lru_cache(maxsize=None)

@@ -17,10 +17,26 @@ the lcm of the orders of the local invariants in Q/Z.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import product
+from math import isqrt, lcm
 
+from ._arith import (
+    divisors,
+    factor_degrees,
+    is_prime,
+    poly_add,
+    poly_deriv,
+    poly_divmod,
+    poly_eval,
+    poly_gcd,
+    poly_mul,
+    poly_mulmod,
+    poly_powmod,
+    poly_sub,
+    poly_trim,
+)
 from .errors import InputError, PlaceResolutionError
-from .newton import _is_prime, np_of_polynomial
+from .newton import np_of_polynomial
 
 __all__ = [
     "WeilNumber",
@@ -88,98 +104,6 @@ class HondaTateData:
         }
 
 
-# ---------------------------------------------------------------------------
-# integer / polynomial utilities (ascending coefficient lists over Fraction
-# or int; all exact)
-
-
-def _factor_int(n):
-    n = abs(n)
-    out = {}
-    for q in (2, 3, 5, 7, 11, 13):
-        while n % q == 0:
-            out[q] = out.get(q, 0) + 1
-            n //= q
-    f = 17
-    while f * f <= n and f < 100000:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 2
-    if n > 1:
-        for q in _factor_large(n):
-            out[q] = out.get(q, 0) + 1
-    return out
-
-
-def _factor_large(n):
-    if n == 1:
-        return []
-    if _is_prime(n):
-        return [n]
-    d = _pollard_rho(n)
-    return sorted(_factor_large(d) + _factor_large(n // d))
-
-
-def _pollard_rho(n):
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 50):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise InputError("integer too hard to factor: %d" % n)
-
-
-def _divisors(n):
-    out = [1]
-    for q, k in _factor_int(n).items():
-        out = [d * q**i for d in out for i in range(k + 1)]
-    return sorted(out)
-
-
-def _poly_eval(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_trim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod_exact(a, b):
-    """Division in Q[x]; returns (quotient, remainder) over Fractions."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    b = _poly_trim(b)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(_poly_trim(a)) >= len(b):
-        a = _poly_trim(a)
-        k = len(a) - len(b)
-        coef = a[-1] / b[-1]
-        q[k] = coef
-        for i, bc in enumerate(b):
-            a[k + i] -= coef * bc
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _int_poly_divides(d, f):
-    """Does monic integer d divide monic integer f exactly over Z?"""
-    q, r = _poly_divmod_exact(f, d)
-    return not r and all(c.denominator == 1 for c in q)
-
-
 # -- irreducibility over Q (monic integer polynomials, degree <= 16) --------
 
 
@@ -188,68 +112,11 @@ def _rational_roots(coeffs):
     if c0 == 0:
         return [0]
     roots = []
-    for d in _divisors(c0):
+    for d in divisors(c0):
         for r in (d, -d):
-            if _poly_eval(coeffs, r) == 0:
+            if poly_eval(coeffs, r) == 0:
                 roots.append(r)
     return roots
-
-
-def _mod_factor_degrees(coeffs, ell):
-    """Degrees (with multiplicity) of the irreducible factors mod ell, or
-    None when the reduction is not squarefree/degree-preserving."""
-    from .unramified import _poly_gcd, _poly_mulmod, _poly_rem, _poly_trim as trim
-
-    f = trim([c % ell for c in coeffs])
-    if len(f) != len(coeffs):
-        return None
-    df = trim([(i * c) % ell for i, c in enumerate(f)][1:])
-    if len(_poly_gcd(list(f), df, ell)) != 1:
-        return None
-    degrees = []
-    rest = list(f)
-    k = 0
-    w = [0, 1]
-    while len(rest) - 1 >= 2 * (k + 1):
-        k += 1
-        w = _poly_powmod(w, ell, rest, ell)
-        g = _poly_gcd(_poly_sub_x(w, ell), list(rest), ell)
-        if len(g) > 1:
-            degrees.extend([k] * ((len(g) - 1) // k))
-            rest, _ = _poly_div_modp(rest, g, ell)
-            w = _poly_rem(w, rest, ell) if len(rest) > 1 else [0]
-    if len(rest) > 1:
-        degrees.append(len(rest) - 1)
-    return degrees
-
-
-def _poly_powmod(base, e, f, p):
-    from .unramified import _poly_mulmod
-
-    out = [1]
-    b = list(base)
-    while e:
-        if e & 1:
-            out = _poly_mulmod(out, b, f, p)
-        b = _poly_mulmod(b, b, f, p)
-        e >>= 1
-    return out
-
-
-def _poly_sub_x(w, p):
-    w = list(w)
-    while len(w) < 2:
-        w.append(0)
-    w[1] = (w[1] - 1) % p
-    from .unramified import _poly_trim as trim
-
-    return trim(w)
-
-
-def _poly_div_modp(a, b, p):
-    from .unramified import _poly_divmod
-
-    return _poly_divmod(list(a), list(b), p)
 
 
 def is_irreducible_q(coeffs_ascending):
@@ -273,7 +140,7 @@ def is_irreducible_q(coeffs_ascending):
     plausible = set(range(1, e))
     used = 0
     for ell in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        degs = _mod_factor_degrees(coeffs, ell)
+        degs = factor_degrees(coeffs, ell)
         if degs is None:
             continue
         sums = {0}
@@ -295,19 +162,17 @@ def is_irreducible_q(coeffs_ascending):
 
 def _kronecker_has_factor(coeffs, g):
     """Search for a monic integer factor of degree g by interpolation."""
-    from itertools import product
-
     xs = []
     k = 0
     while len(xs) < g + 1:
         xs.append(k if k >= 0 else k)
         k = -k if k > 0 else -k + 1
-    vals = [_poly_eval(coeffs, x) for x in xs]
+    vals = [poly_eval(coeffs, x) for x in xs]
     if any(v == 0 for v in vals):
         return True  # rational root (caught earlier, defensive)
     choices = []
     for v in vals:
-        ds = _divisors(v)
+        ds = divisors(v)
         choices.append([d for d in ds] + [-d for d in ds])
     for combo in product(*choices):
         cand = _lagrange_integer(xs, combo, g)
@@ -342,26 +207,30 @@ def _lagrange_integer(xs, ys, g):
     return [int(c) for c in coeffs]
 
 
+def _int_poly_divides(d, f):
+    """Does monic integer d divide monic integer f exactly over Z?"""
+    q, r = poly_divmod(f, d)
+    return not r and all(c.denominator == 1 for c in q)
+
+
 # -- Sturm machinery ---------------------------------------------------------
 
 
 def _sturm_chain(f):
-    f = [Fraction(c) for c in _poly_trim(f)]
-    chain = [f, _poly_trim([i * c for i, c in enumerate(f)][1:])]
+    f = poly_trim(f)
+    chain = [f, poly_deriv(f)]
     while len(chain[-1]) > 1:
-        _, r = _poly_divmod_exact(chain[-2], chain[-1])
+        r = poly_divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append([-c for c in r])
-    if chain[-1] and len(chain[-1]) == 1 and chain[-1][0] == 0:
-        chain.pop()
     return [c for c in chain if c]
 
 
 def _sign_variations(chain, x):
     signs = []
     for poly in chain:
-        v = _poly_eval(poly, x)
+        v = poly_eval(poly, x)
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -380,24 +249,11 @@ def _sign_variations_inf(chain, positive):
 
 
 def _squarefree_part(f):
-    f = [Fraction(c) for c in _poly_trim(f)]
+    f = poly_trim(f)
     if len(f) <= 2:
         return f
-    df = _poly_trim([i * c for i, c in enumerate(f)][1:])
-    g = _poly_gcd_q(f, df)
-    if len(g) == 1:
-        return f
-    q, _ = _poly_divmod_exact(f, g)
-    return q
-
-
-def _poly_gcd_q(a, b):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        _, r = _poly_divmod_exact(a, b)
-        a, b = b, r
-    lead = a[-1]
-    return [c / lead for c in a]
+    g = poly_gcd(f, poly_deriv(f))
+    return f if len(g) == 1 else poly_divmod(f, g)[0]
 
 
 def count_real_roots(f, lower=None, upper=None):
@@ -421,18 +277,9 @@ def _trace_minpoly(coeffs_asc, q):
         return [-val, Fraction(1)]
     # q/pi = -q/c0 * (x^(e-1) + c_{e-1} x^(e-2) + ... + c_1), from f(pi)=0
     c0 = coeffs_asc[0]
-    inv_times_q = [Fraction(-q * c, c0) for c in coeffs_asc[1:]]  # deg e-1
-    beta = [Fraction(0)] * e
-    for k, c in enumerate(inv_times_q):
-        beta[k] += c
+    beta = [Fraction(-q * c, c0) for c in coeffs_asc[1:]]  # q/pi, deg e-1
     beta[1] += 1
-    # powers of beta in Q[x]/(f)
-    fmod = [Fraction(c) for c in coeffs_asc]
-    vecs = [[Fraction(1)] + [Fraction(0)] * (e - 1)]
-    cur = vecs[0]
-    for _ in range(e):
-        cur = _mulmod_q(cur, beta, fmod)
-        vecs.append(cur)
+    vecs = _power_vectors(beta, coeffs_asc)
     # first linear dependency among vecs[0..k]
     for k in range(1, e + 1):
         dep = _solve_dependency(vecs[: k + 1])
@@ -441,19 +288,15 @@ def _trace_minpoly(coeffs_asc, q):
     raise InputError("no minimal polynomial found (impossible)")
 
 
-def _mulmod_q(a, b, f):
+def _power_vectors(x, f):
+    """Coordinates of x^0, ..., x^e in Q[T]/(f), e = deg f, each padded
+    to length e."""
     e = len(f) - 1
-    raw = [Fraction(0)] * (2 * e - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                raw[i + j] += ai * bj
-    for i in range(len(raw) - 1, e - 1, -1):
-        c = raw[i]
-        if c:
-            for j in range(e + 1):
-                raw[i - e + j] -= c * f[j]
-    return raw[:e]
+    cur, vecs = [1], [[1] + [0] * (e - 1)]
+    for _ in range(e):
+        cur = poly_mulmod(cur, x, f)
+        vecs.append(cur + [0] * (e - len(cur)))
+    return vecs
 
 
 def _solve_dependency(vecs):
@@ -489,54 +332,22 @@ def _solve_dependency(vecs):
 
 def _roots_all_real_and_bounded(h, q):
     """All roots of h real, and every root beta satisfies beta^2 <= 4q."""
-    h = _poly_trim([Fraction(c) for c in h])
-    deg = len(h) - 1
+    h = poly_trim(h)
     if count_real_roots(h) != len(_squarefree_part(h)) - 1:
         return False
     # polynomial with roots beta_i^2: C(t) = A(t)^2 - t B(t)^2 where
     # h(x) = A(x^2) + x B(x^2)
-    A = [c for i, c in enumerate(h) if i % 2 == 0]
-    B = [c for i, c in enumerate(h) if i % 2 == 1]
-    C = _poly_sub(_poly_mul(A, A), [Fraction(0)] + _poly_mul(B, B))
+    A, B = h[0::2], h[1::2]
+    C = poly_sub(poly_mul(A, A), [0] + poly_mul(B, B))
     # shift: D(u) = C(u + 4q) has roots beta_i^2 - 4q; none may be positive
-    D = _poly_shift(C, 4 * q)
+    D = []
+    for c in reversed(C):
+        D = poly_add(poly_mul(D, [4 * q, 1]), [c])
     while D and D[0] == 0:
         D = D[1:]  # boundary roots beta^2 = 4q are allowed
     if not D:
         return True
     return count_real_roots(D, lower=Fraction(0), upper=None) == 0
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    return _poly_trim(
-        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def _poly_shift(c, s):
-    """Coefficients of C(u + s)."""
-    out = [Fraction(0)] * len(c)
-    for coef in reversed(c):
-        # out = out * (u + s) + coef
-        new = [Fraction(0)] * len(c)
-        for i in range(len(c) - 1):
-            new[i + 1] += out[i]
-        for i in range(len(c)):
-            new[i] += out[i] * s
-        new[0] += coef
-        out = new
-    return _poly_trim(out)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +363,7 @@ def weil_verify(minpoly, p, n):
         raise WeilRejection("non-integral", "coefficients must be integers")
     if not coeffs_desc or coeffs_desc[0] != 1:
         raise WeilRejection("non-integral", "polynomial must be monic")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise InputError("%d is not prime" % p)
     if n < 1:
         raise InputError("n must be >= 1")
@@ -566,7 +377,7 @@ def weil_verify(minpoly, p, n):
     for k in range(e + 1):
         if asc[k] * q**k != c0 * asc[e - k]:
             raise WeilRejection("functional-equation")
-    h = _trace_minpoly([Fraction(c) for c in asc], q)
+    h = _trace_minpoly(asc, q)
     if not _roots_all_real_and_bounded(h, q):
         raise WeilRejection("root-modulus")
     return WeilNumber(tuple(coeffs_desc), p, n)
@@ -579,7 +390,7 @@ def weil_from_real_trace(beta, p, n):
     beta = +-2 sqrt(q) needs q square and gives the rational pi = beta/2.
     """
     beta = int(beta)
-    if not _is_prime(p):
+    if not is_prime(p):
         raise InputError("%d is not prime" % p)
     q = p**n
     if beta * beta > 4 * q:
@@ -694,22 +505,11 @@ def albert_classify(e0, e, d, is_totally_real, is_definite=None):
 
 def field_stable_under_power(w, k):
     """Whether Q(pi^k) = Q(pi): the field does not shrink under pi -> pi^k."""
-    asc = [Fraction(c) for c in reversed(w.minpoly)]
-    e = w.e
-    pik = [Fraction(0)] * e
-    pik[0] = Fraction(1)
-    x = [Fraction(0)] * e
-    if e == 1:
+    asc = list(reversed(w.minpoly))
+    if w.e == 1:
         return True
-    x[1] = Fraction(1)
-    for _ in range(k):
-        pik = _mulmod_q(pik, x, asc)
-    vecs = [[Fraction(1)] + [Fraction(0)] * (e - 1)]
-    cur = vecs[0]
-    for _ in range(e):
-        cur = _mulmod_q(cur, pik, asc)
-        vecs.append(cur)
-    for deg in range(1, e + 1):
+    vecs = _power_vectors(poly_powmod([0, 1], k, asc), asc)
+    for deg in range(1, w.e + 1):
         if _solve_dependency(vecs[: deg + 1]) is not None:
-            return deg == e
+            return deg == w.e
     return False

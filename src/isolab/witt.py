@@ -8,7 +8,7 @@ over Z, which succeeds in exact integers precisely because the universal
 Witt polynomials are integral.
 """
 
-from .errors import InputError, PrecisionError
+from .errors import InputError
 from .unramified import UElement, unramified_ring
 
 __all__ = [
@@ -136,10 +136,8 @@ class WittElement:
         return WittElement(self.context, self.context.ring.sigma_inv(self.value))
 
     def verschiebung(self):
-        """V = p * sigma^(-1); raises when the shift leaves the window."""
+        """V = p * sigma^(-1)."""
         ctx = self.context
-        if ctx.N < 1:
-            raise PrecisionError("no room for V at this precision")
         return WittElement(ctx, ctx.ring.from_int(ctx.p) * ctx.ring.sigma_inv(self.value))
 
     def valuation(self):
@@ -149,14 +147,8 @@ class WittElement:
 
     def coordinates(self):
         """The Witt coordinate view (c_0,...,c_{N-1}), c_i in F_{p^m}."""
-        ctx = self.context
-        v = self.value
-        out = []
-        for i in range(ctx.N):
-            r = v.residue()
-            out.append(r.frobenius(i))
-            v = (v - ctx.ring.teichmuller(r)).exact_div_p()
-        return out
+        digits, _ = self.context.ring.teichmuller_digits(self.value, self.context.N)
+        return [r.frobenius(i) for i, r in enumerate(digits)]
 
     def is_zero(self):
         return self.value.is_zero()

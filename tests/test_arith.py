@@ -1,0 +1,243 @@
+"""The exact-arithmetic kernel against brute-force oracles."""
+
+import random
+from fractions import Fraction
+from itertools import product
+from math import gcd, isqrt, prod
+
+import pytest
+
+from isolab._arith import (
+    base_p_digits,
+    divisors,
+    euler_phi,
+    factor_degrees,
+    factor_int,
+    is_prime,
+    poly_add,
+    poly_divmod,
+    poly_eval,
+    poly_gcd,
+    poly_mul,
+    poly_mulmod,
+    poly_powmod,
+    poly_sub,
+    vp,
+)
+from isolab.errors import InputError
+from isolab.unramified import default_modulus, unramified_ring
+
+
+def _trial_division_primes(bound):
+    primes = []
+    for n in range(2, bound):
+        r = isqrt(n)
+        if all(n % q for q in primes if q <= r):
+            primes.append(n)
+    return primes
+
+
+PRIMES_16 = _trial_division_primes(2**16)
+
+
+class TestIntegers:
+    def test_is_prime_below_2_16(self):
+        expected = set(PRIMES_16)
+        assert [n for n in range(-3, 2**16) if is_prime(n)] == sorted(expected)
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_large_primes(self):
+        assert is_prime(2**61 - 1) and is_prime(1000000007)
+        assert not is_prime((2**31 - 1) * (2**61 - 1))
+
+    def test_factor_divisors_phi_brute_force(self):
+        bound = 5000
+        divs = [[] for _ in range(bound)]
+        for d in range(1, bound):
+            for n in range(d, bound, d):
+                divs[n].append(d)
+        phi = [0] * bound  # Gauss: the phi(d) over d | n sum to n
+        primes = set(PRIMES_16)
+        for n in range(1, bound):
+            phi[n] = n - sum(phi[d] for d in divs[n][:-1])
+            f = factor_int(n)
+            assert all(q in primes for q in f)
+            assert prod(q**k for q, k in f.items()) == n
+            assert divisors(n) == divs[n]
+            assert euler_phi(n) == phi[n]
+        for n in (1, 2, 12, 97, 4096):
+            assert phi[n] == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+    def test_factor_large_composite(self):
+        n = (2**31 - 1) * 1000000007 * 1000000009
+        assert factor_int(n) == {2**31 - 1: 1, 1000000007: 1, 1000000009: 1}
+        assert factor_int(-12) == {2: 2, 3: 1}
+
+    def test_vp_and_digits(self):
+        for p in (2, 3, 5):
+            for n in range(1, 400):
+                v = vp(n, p)
+                assert n % p**v == 0 and n % p ** (v + 1) != 0
+                assert vp(-n, p) == v
+                assert base_p_digits(n, p) == len(_digits(n, p))
+        assert base_p_digits(0, 7) == 0
+        with pytest.raises(InputError):
+            vp(0, 3)
+
+
+def _digits(n, p):
+    out = []
+    while n:
+        out.append(n % p)
+        n //= p
+    return out
+
+
+def _random_poly(rng, degree, p, monic=False):
+    return [rng.randrange(p) for _ in range(degree)] + [1 if monic else rng.randrange(1, p)]
+
+
+class TestPolynomialsModP:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_powmod_against_repeated_mulmod(self, p):
+        rng = random.Random(p)
+        for _ in range(20):
+            f = _random_poly(rng, rng.randrange(1, 6), p, monic=rng.random() < 0.5)
+            a = _random_poly(rng, rng.randrange(0, 8), p)
+            slow = [1]
+            for e in range(30):
+                assert poly_powmod(a, e, f, p) == slow
+                slow = poly_mulmod(slow, a, f, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_divmod_gcd_identities(self, p):
+        rng = random.Random(100 + p)
+        for _ in range(50):
+            a = _random_poly(rng, rng.randrange(0, 7), p)
+            b = _random_poly(rng, rng.randrange(0, 5), p)
+            q, r = poly_divmod(a, b, p)
+            assert poly_add(poly_mul(q, b, p), r, p) == poly_sub(a, [], p)
+            assert len(r) < len(b)
+            g = poly_gcd(a, b, p)
+            assert g[-1] == 1
+            assert not poly_divmod(a, g, p)[1] and not poly_divmod(b, g, p)[1]
+
+
+def _irreducible_brute_force(f, p):
+    m = len(f) - 1
+    for d in range(1, m // 2 + 1):
+        for low in product(range(p), repeat=d):
+            if not poly_divmod(f, list(low) + [1], p)[1]:
+                return False
+    return True
+
+
+class TestIrreducibility:
+    @pytest.mark.parametrize("p, top", [(2, 6), (3, 4), (5, 3), (7, 3)])
+    def test_factor_degrees_decides_irreducibility(self, p, top):
+        for m in range(1, top + 1):
+            for low in product(range(p), repeat=m):
+                f = list(low) + [1]
+                assert (factor_degrees(f, p) == [m]) == _irreducible_brute_force(f, p), (f, p)
+
+    def test_factor_degrees_of_a_product(self):
+        # (x^2+x+1)(x^3+x+1) over F_2; then a reduction that loses degree
+        # and one that is not squarefree
+        f = poly_mul([1, 1, 1], [1, 1, 0, 1], 2)
+        assert sorted(factor_degrees(f, 2)) == [2, 3]
+        assert factor_degrees([1, 0, 2], 2) is None
+        assert factor_degrees(poly_mul([1, 1], [1, 1], 3), 3) is None
+
+
+# default_modulus(p, m) for every p <= 13 with p^m <= 6000, as fixed by the
+# original Rabin-test implementation; the generator basis of every field
+# (and so every rendered field element) depends on it.
+DEFAULT_MODULUS = {
+    (2, 1): (0, 1),
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 1): (0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (5, 1): (0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1),
+    (7, 1): (0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1),
+    (11, 1): (0, 1),
+    (11, 2): (1, 0, 1),
+    (11, 3): (4, 1, 0, 1),
+    (13, 1): (0, 1),
+    (13, 2): (2, 0, 1),
+    (13, 3): (2, 0, 0, 1),
+}
+
+
+def test_default_modulus_table():
+    got = {}
+    for p in (2, 3, 5, 7, 11, 13):
+        m = 1
+        while p**m <= 6000:
+            got[(p, m)] = default_modulus(p, m)
+            m += 1
+    assert got == DEFAULT_MODULUS
+
+
+class TestPolynomialsOverQ:
+    def test_divmod_is_exact(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            a = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(rng.randrange(1, 7))]
+            b = [rng.randrange(-5, 6) for _ in range(rng.randrange(1, 4))] + [rng.choice((-3, 1, 2))]
+            q, r = poly_divmod(a, b)
+            assert poly_add(poly_mul(q, b), r) == poly_sub(a, [])
+            assert len(r) < len(b)
+
+    def test_gcd_is_monic(self):
+        a = poly_mul([1, 1], [2, 0, 3])  # (x+1)(3x^2+2)
+        b = poly_mul([1, 1], [5, 7])
+        assert poly_gcd(a, b) == [1, 1]
+        assert poly_gcd(poly_mul([-2, 4], [1, 0, 1]), [-2, 4]) == [Fraction(-1, 2), 1]
+
+    def test_mulmod_and_powmod(self):
+        f = [2, 0, 1]  # x^2 = -2
+        assert poly_eval(f, Fraction(1, 2)) == Fraction(9, 4)
+        assert poly_mulmod([0, 1], [0, 1], f) == [-2]
+        assert poly_powmod([0, 1], 5, f) == [0, 4]
+        assert poly_powmod([3], -1, f) == [1]
+
+
+class TestTeichmullerDigits:
+    @pytest.mark.parametrize("p, m, N", [(2, 1, 5), (3, 1, 4), (2, 2, 4), (3, 2, 3), (5, 1, 3)])
+    def test_digits_reassemble(self, p, m, N):
+        ring = unramified_ring(p, m, N)
+        rng = random.Random(p * 100 + m * 10 + N)
+        for _ in range(10):
+            v = ring.from_coeffs([rng.randrange(ring.pN) for _ in range(m)])
+            for k in range(N + 1):
+                digits, rest = ring.teichmuller_digits(v, k)
+                assert len(digits) == k
+                total = ring.from_int(p**k) * rest
+                for i, r in enumerate(digits):
+                    total = total + ring.from_int(p**i) * ring.teichmuller(r)
+                assert total == v

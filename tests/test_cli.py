@@ -153,6 +153,34 @@ class TestExitCodes:
         proc = run_cli("np", "construct", "--json", "{not json")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["cartier", "mul"], "--x"),
+            (["dieudonne", "a-number"], "--json"),
+            (["witt", "ghost", "--p", "3"], "--coords"),
+            (["poset", "chain", "--h", "5", "--d", "2"], "--from"),
+            (["weil", "verify", "--minpoly", "1,2"], "--p"),
+            (["np", "compare", "--a", "(1,1)"], "--b"),
+            (["weil", "classify", "--p", "2", "--n", "1"], "--minpoly"),
+            (["witt", "teichmuller", "--p", "3"], "--a"),
+            (["cartier", "act", "--x", "{}"], "--w"),
+            (["dieudonne", "gmn", "--m", "1"], "--n"),
+            (["dieudonne", "serre-tate-torsion"], "--exponents"),
+            (["semimod", "from-jumps", "--m", "2", "--n", "3"], "--jumps"),
+            (["poset", "witness", "--h", "5", "--d", "2", "--from", "iso"], "--to"),
+        ],
+    )
+    def test_missing_required_flag_is_64(self, capsys, argv, flag):
+        assert main(argv) == 64
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and flag in err
+
+    def test_missing_flag_in_a_fresh_process(self):
+        proc = run_cli("cartier", "mul")
+        assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr and "--x" in proc.stderr
+
     def test_precision_error_is_3(self):
         payload = json.dumps({"p": 2, "m": 1, "N": 4, "h": 2, "F": [["16", "0"], ["0", "1"]]})
         proc = run_cli("dieudonne", "np-sigma-trivial", "--json", payload)

@@ -1,0 +1,72 @@
+"""Static check of the package's exactness contract: no floating point and
+no imports hidden inside function bodies anywhere under src/isolab."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "isolab"
+FLOAT_NAMES = {"float", "inf"}
+INEXACT_MATH = {"sqrt", "log", "log2", "log10", "floor", "ceil"}
+
+
+def violations(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+
+    def visit(node, in_function):
+        where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            out.append("%s float literal %r" % (where, node.value))
+        elif isinstance(node, ast.Name) and node.id in FLOAT_NAMES:
+            out.append("%s name %s" % (where, node.id))
+        elif isinstance(node, ast.Attribute) and (
+            node.attr in FLOAT_NAMES
+            or (node.attr in INEXACT_MATH and isinstance(node.value, ast.Name) and node.value.id == "math")
+        ):
+            out.append("%s attribute %s" % (where, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if in_function:
+                out.append("%s import inside a function" % where)
+            from_math = isinstance(node, ast.ImportFrom) and node.module == "math"
+            for alias in node.names:
+                if alias.name in FLOAT_NAMES or (from_math and alias.name in INEXACT_MATH):
+                    out.append("%s imports %s" % (where, alias.name))
+        inside = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return out
+
+
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def test_sources_found():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_is_exact(path):
+    assert violations(path) == []
+
+
+@pytest.mark.parametrize(
+    "source, count",
+    [
+        ("x = 0.5\n", 1),
+        ("from math import inf\n", 1),
+        ("import math\ny = math.sqrt(2)\n", 1),
+        ("from math import floor, isqrt\n", 1),
+        ("y = float('1')\n", 1),
+        ("def f():\n    from itertools import product\n", 1),
+        ("def f():\n    return int(7**0.5)\n", 1),
+        ("from math import gcd, isqrt\ny = gcd(4, isqrt(16))\n", 0),
+    ],
+)
+def test_scanner_flags_inexact_code(tmp_path, source, count):
+    path = tmp_path / "probe.py"
+    path.write_text(source)
+    assert len(violations(path)) == count
