@@ -44,6 +44,12 @@ def is_prime(n):
     return True
 
 
+def require_prime(p):
+    """Raise InputError unless p is a prime."""
+    if not is_prime(p):
+        raise InputError("p = %r is not prime" % (p,))
+
+
 def factor_int(n):
     """{prime: exponent} of |n| for n != 0."""
     n = abs(n)

@@ -16,7 +16,7 @@ collapse to the single rule
 
 from fractions import Fraction
 
-from ._arith import base_p_digits, euler_phi
+from ._arith import base_p_digits, euler_phi, require_prime
 from .errors import InputError, PrecisionError
 from .unramified import parse_ff, render_ff, unramified_ring
 from .witt import WittElement
@@ -30,13 +30,15 @@ __all__ = [
 
 
 class CartierContext:
-    """Fixes the base field F_{p^m} and the V-adic working cap A."""
+    """Fixes the base field F_{p^m} and the V-adic working cap A; `phi` =
+    euler_phi(p^m - 1) scales the guard digits of every normalization."""
 
     def __init__(self, p, m=1, vcap=8):
         if vcap < 1:
             raise InputError("V-cap must be >= 1")
         self.p, self.m, self.vcap = p, m, vcap
         self.field = unramified_ring(p, m, 1).field
+        self.phi = euler_phi(p**m - 1)
 
     def element(self, terms, truncated=False):
         return cartier_normalize(self, terms, truncated=truncated)
@@ -188,7 +190,7 @@ class CartierElement:
 def _from_int(ctx, k):
     """The integer k inside the W(F_{p^m}) subring: Teichmuller digits of
     k on the main diagonal, rows (b, b)."""
-    guard = euler_phi(ctx.p**ctx.m - 1) * (base_p_digits(abs(k), ctx.p) + 1) + 2
+    guard = ctx.phi * (base_p_digits(abs(k), ctx.p) + 1) + 2
     ring = unramified_ring(ctx.p, ctx.m, ctx.vcap + guard)
     digits, rest = ring.teichmuller_digits(ring.from_int(k), ctx.vcap)
     raw = [(b, b, r.frobenius(b)) for b, r in enumerate(digits) if not r.is_zero()]
@@ -222,11 +224,10 @@ def cartier_normalize(context, raw_terms, truncated=False):
             continue
         diagonals.setdefault(a - b, []).append((a, b, c))
     table = {}
-    phi = euler_phi(p**m - 1)
     for i, terms in diagonals.items():
         digits = A - i  # positions b = 0..A-i-1 cover all rows a < A
         weight = sum(p**b for _, b, _ in terms) + p**digits  # bound on sum|n_j|
-        guard = phi * base_p_digits(weight, p) + 2
+        guard = context.phi * base_p_digits(weight, p) + 2
         ring = unramified_ring(p, m, digits + guard)
         acc = ring.zero()
         for a, b, c in terms:
@@ -254,6 +255,7 @@ def cartier_normalize(context, raw_terms, truncated=False):
 def artin_hasse(p, degree):
     """Coefficients 0..degree of exp(-sum_{n>=0} X^(p^n)/p^n), as exact
     rationals.  Every coefficient is checked to be p-integral."""
+    require_prime(p)
     if degree < 1:
         raise InputError("degree must be >= 1")
     # derivative of the exponent: -sum x^(p^n - 1)

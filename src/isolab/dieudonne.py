@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ._arith import vp
+from ._arith import require_prime, vp
 from .errors import InputError, PrecisionError
 from .newton import ValuationPolygon, lower_convex_hull, np_from_slopes
 from .snf import elementary_divisors
@@ -250,21 +250,25 @@ def gmn_normal_form(m, n, context):
     return DisplayNormalForm(context, h, n, {(1, h): 1})
 
 
-def np_of_display(dnf, method="auto"):
+def np_of_display(dnf):
     """Newton polygon of the group presented by a display normal form.
 
     The cyclic vector e_1 satisfies a monic degree-h twisted polynomial
     whose coefficient at F^(h-t) collects the anti-diagonal j - i = t - 1
     with weights p^(j-s) and coefficient twists sigma^(h-j); the polygon
     is the lower hull of its coefficient valuations, ending at (h, h-s).
-    For all-zero-or-unit entries the hull shortcut (0,0), (j+1-i, j-s) is
-    available and exact because distinct p-weights cannot cancel.
+    When every entry is a unit the hull shortcut (0,0), (j+1-i, j-s) is
+    exact because distinct p-weights cannot cancel; otherwise the
+    valuations are computed by `_np_of_display_general`.
     """
-    if method not in ("auto", "general", "fast"):
-        raise InputError("method must be auto, general or fast")
-    if method == "fast" or (method == "auto" and dnf.is_zero_unit()):
+    if dnf.is_zero_unit():
         pts = [(0, 0)] + [(j + 1 - i, j - dnf.s) for (i, j) in dnf.entries]
         return _hull_to_group_polygon(pts, dnf.h, dnf.dim)
+    return _np_of_display_general(dnf)
+
+
+def _np_of_display_general(dnf):
+    """np_of_display for any entries, from the coefficient valuations."""
     ring = dnf.context.ring
     p = dnf.context.p
     points = [(0, 0)]
@@ -410,6 +414,7 @@ def serre_tate_torsion(exponents, p):
     entries dropped, computed by Smith normal form of the explicit
     relation matrix (not by the closed form, which tests use as oracle).
     """
+    require_prime(p)
     exponents = tuple(int(e) for e in exponents)
     if not exponents or any(e < 0 for e in exponents):
         raise InputError("need g >= 1 sorted non-negative exponents")

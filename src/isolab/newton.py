@@ -11,7 +11,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from ._arith import is_prime, vp
+from ._arith import require_prime, vp
 from .errors import InputError
 
 __all__ = [
@@ -354,8 +354,7 @@ def np_of_polynomial(coefficients, p):
     coeffs = [Fraction(c) for c in coefficients]
     if not coeffs or coeffs[0] != 1:
         raise InputError("polynomial must be monic (leading coefficient 1 first)")
-    if p < 2 or not is_prime(p):
-        raise InputError("%r is not prime" % (p,))
+    require_prime(p)
     h = len(coeffs) - 1
     if h < 1:
         raise InputError("degree must be at least 1")

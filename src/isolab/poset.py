@@ -14,10 +14,8 @@ from math import gcd
 from .errors import InputError
 from .newton import (
     NewtonPolygon,
-    np_diamond,
     np_from_pairs,
     np_precedes,
-    np_triangle,
     render_pairs,
 )
 
@@ -128,9 +126,6 @@ class NPPoset:
     def top(self):
         """The ordinary polygon d*(1,0) + c*(0,1), the unique maximum."""
         return np_from_pairs([(1, 0)] * self.d + [(0, 1)] * (self.h - self.d))
-
-    def region_count(self, np):
-        return len(np_triangle(np)) if self.symmetric else len(np_diamond(np))
 
 
 def poset_build(h, d, symmetric=False):

@@ -10,7 +10,7 @@ certifiable.
 
 from functools import lru_cache
 
-from ._arith import factor_degrees, poly_deriv, poly_divmod, poly_mul, poly_mulmod, poly_sub, poly_trim, vp
+from ._arith import factor_degrees, poly_deriv, poly_divmod, poly_mul, poly_mulmod, poly_sub, poly_trim, require_prime, vp
 from .errors import InputError, PrecisionError
 
 
@@ -107,14 +107,15 @@ class FFElement:
 
 
 class FiniteField:
-    """F_{p^m} in a fixed polynomial basis."""
+    """F_{p^m} in a fixed polynomial basis; p must be prime and m >= 1."""
 
-    def __init__(self, p, m, modulus=None):
+    def __init__(self, p, m):
+        require_prime(p)
+        if m < 1:
+            raise InputError("field degree m must be >= 1, got %r" % (m,))
         self.p = p
         self.m = m
-        self.modulus = tuple(modulus) if modulus else default_modulus(p, m)
-        if len(self.modulus) != m + 1:
-            raise InputError("modulus degree mismatch")
+        self.modulus = default_modulus(p, m)
 
     def __call__(self, coeffs):
         if isinstance(coeffs, int):
@@ -310,12 +311,12 @@ class UnramifiedRing:
     satisfying sigma^m = id; both facts are asserted at construction.
     """
 
-    def __init__(self, p, m, N, modulus=None):
+    def __init__(self, p, m, N):
         if N < 1:
             raise InputError("precision N must be >= 1")
+        self.field = finite_field(p, m)
         self.p, self.m, self.N = p, m, N
         self.pN = p**N
-        self.field = finite_field(p, m) if modulus is None else FiniteField(p, m, modulus)
         self.modulus = self.field.modulus
         self._sigma_powers = self._build_sigma()
 
@@ -402,14 +403,6 @@ class UnramifiedRing:
             digits.append(r)
             v = (v - self.teichmuller(r)).exact_div_p()
         return digits, v
-
-    def reduce_from(self, elem):
-        """Reduce an element of a higher-precision ring over the same field."""
-        if (elem.ring.p, elem.ring.m) != (self.p, self.m) or elem.ring.modulus != self.modulus:
-            raise InputError("incompatible rings")
-        if elem.ring.N < self.N:
-            raise PrecisionError("cannot raise precision of an approximate value")
-        return UElement(self, list(elem.coeffs))
 
     def __repr__(self):
         return "UnramifiedRing(p=%d, m=%d, N=%d)" % (self.p, self.m, self.N)

@@ -23,7 +23,6 @@ from math import isqrt, lcm
 from ._arith import (
     divisors,
     factor_degrees,
-    is_prime,
     poly_add,
     poly_deriv,
     poly_divmod,
@@ -34,6 +33,7 @@ from ._arith import (
     poly_powmod,
     poly_sub,
     poly_trim,
+    require_prime,
 )
 from .errors import InputError, PlaceResolutionError
 from .newton import np_of_polynomial
@@ -363,8 +363,7 @@ def weil_verify(minpoly, p, n):
         raise WeilRejection("non-integral", "coefficients must be integers")
     if not coeffs_desc or coeffs_desc[0] != 1:
         raise WeilRejection("non-integral", "polynomial must be monic")
-    if not is_prime(p):
-        raise InputError("%d is not prime" % p)
+    require_prime(p)
     if n < 1:
         raise InputError("n must be >= 1")
     asc = list(reversed(coeffs_desc))
@@ -390,8 +389,7 @@ def weil_from_real_trace(beta, p, n):
     beta = +-2 sqrt(q) needs q square and gives the rational pi = beta/2.
     """
     beta = int(beta)
-    if not is_prime(p):
-        raise InputError("%d is not prime" % p)
+    require_prime(p)
     q = p**n
     if beta * beta > 4 * q:
         raise InputError("beta^2 > 4q: trace too large for a Weil number")

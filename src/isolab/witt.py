@@ -8,6 +8,7 @@ over Z, which succeeds in exact integers precisely because the universal
 Witt polynomials are integral.
 """
 
+from ._arith import require_prime
 from .errors import InputError
 from .unramified import UElement, unramified_ring
 
@@ -23,6 +24,7 @@ __all__ = [
 
 def ghost_components(coords, p):
     """w_n = sum_{i<=n} p^i c_i^(p^(n-i)) for integer-lift coordinates."""
+    require_prime(p)
     coords = [int(c) for c in coords]
     out = []
     for n in range(len(coords)):
@@ -33,6 +35,7 @@ def ghost_components(coords, p):
 def ghost_inverse(ghosts, p):
     """Integer coordinates with the given ghost vector; raises InputError
     if no integral preimage exists."""
+    require_prime(p)
     coords = []
     for n, w in enumerate(ghosts):
         acc = sum(p**i * coords[i] ** (p ** (n - i)) for i in range(n))

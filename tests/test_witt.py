@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isolab.cartier import CartierContext, artin_hasse
+from isolab.dieudonne import serre_tate_torsion
 from isolab.errors import InputError
+from isolab.unramified import FiniteField, unramified_ring
 from isolab.witt import (
     WittContext,
     ghost_components,
@@ -141,3 +144,36 @@ class TestOperators:
     def test_context_mismatch(self):
         with pytest.raises(InputError):
             WittContext(2, 1, 3).one() + WittContext(3, 1, 3).one()
+
+
+@pytest.mark.parametrize(
+    "make, p",
+    [
+        (lambda: WittContext(4), 4),
+        (lambda: CartierContext(6), 6),
+        (lambda: unramified_ring(9, 1, 3), 9),
+        (lambda: FiniteField(0, 1), 0),
+        (lambda: artin_hasse(1, 3), 1),
+        (lambda: ghost_components([1, 1], 4), 4),
+        (lambda: ghost_inverse([1, 1], -3), -3),
+        (lambda: serre_tate_torsion((1, 2), 6), 6),
+    ],
+    ids=[
+        "WittContext",
+        "CartierContext",
+        "unramified_ring",
+        "FiniteField",
+        "artin_hasse",
+        "ghost_components",
+        "ghost_inverse",
+        "serre_tate_torsion",
+    ],
+)
+def test_non_prime_p_refused(make, p):
+    with pytest.raises(InputError, match="p = %d is not prime" % p):
+        make()
+
+
+def test_field_degree_below_one_refused():
+    with pytest.raises(InputError, match="field degree"):
+        FiniteField(3, 0)
