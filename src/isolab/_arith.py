@@ -1,12 +1,14 @@
-"""Exact integer and polynomial arithmetic shared by the whole package.
+"""Exact integer, polynomial and linear arithmetic shared by the whole package.
 
 Integers: deterministic primality, factorization, divisors, Euler's phi
-and p-adic valuations.  Polynomials are dense coefficient lists, lowest
-degree first; every routine that returns a polynomial returns a fresh
-trimmed list.  Without a modulus they compute over Q (ints and
-`Fraction`s), with a prime modulus `p` over F_p; the modulus is tested
-outside the coefficient loops.  The algorithms are the classical ones of
-von zur Gathen and Gerhard, *Modern Computer Algebra*, Ch. 14.
+and p-adic valuations.  Ring and field elements: `power`, the one
+square-and-multiply, and `rank`, the one Gaussian elimination.
+Polynomials are dense coefficient lists, lowest degree first; every
+routine that returns a polynomial returns a fresh trimmed list.  Without
+a modulus they compute over Q (ints and `Fraction`s), with a prime
+modulus `p` over F_p; the modulus is tested outside the coefficient
+loops.  The algorithms are the classical ones of von zur Gathen and
+Gerhard, *Modern Computer Algebra*, Ch. 14.
 """
 
 from fractions import Fraction
@@ -128,6 +130,46 @@ def base_p_digits(n, p):
         n //= p
         d += 1
     return d
+
+
+# ---------------------------------------------------------------------------
+# elements of an exact ring or field
+
+
+def power(x, k, one):
+    """x^k by square-and-multiply, for any ring element x; `one` for k = 0."""
+    if k < 0:
+        raise InputError("exponent must be >= 0, got %d" % k)
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
+
+
+def rank(rows):
+    """Rank of a matrix over an exact field by Gaussian elimination.
+
+    Entries need ==, *, - and pow(x, -1): `Fraction`s or finite-field
+    elements, never bare ints (pow(1, -1) is a float).
+    """
+    rows = [list(r) for r in rows]
+    done = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(done, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[done], rows[piv] = rows[piv], rows[done]
+        inv = pow(rows[done][col], -1)
+        for r in range(done + 1, len(rows)):
+            if rows[r][col] != 0:
+                f = rows[r][col] * inv
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[done])]
+        done += 1
+    return done
 
 
 # ---------------------------------------------------------------------------

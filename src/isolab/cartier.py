@@ -16,7 +16,7 @@ collapse to the single rule
 
 from fractions import Fraction
 
-from ._arith import base_p_digits, euler_phi, require_prime
+from ._arith import base_p_digits, euler_phi, power, require_prime
 from .errors import InputError, PrecisionError
 from .unramified import parse_ff, render_ff, unramified_ring
 from .witt import WittElement
@@ -27,6 +27,11 @@ __all__ = [
     "cartier_normalize",
     "artin_hasse",
 ]
+
+# Largest Artin-Hasse degree served: on a 2-vCPU Xeon the recursion takes
+# about 1.3 s at degree 500 and 6 s at 1000, and near degree 2000 its
+# coefficients outgrow Python's int-to-str limit.
+MAX_ARTIN_HASSE_DEGREE = 500
 
 
 class CartierContext:
@@ -119,14 +124,7 @@ class CartierElement:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        out = self.context.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.context.one())
 
     def act(self, w):
         """Action on a Witt vector: V, F, <c> act as Verschiebung,
@@ -258,6 +256,8 @@ def artin_hasse(p, degree):
     require_prime(p)
     if degree < 1:
         raise InputError("degree must be >= 1")
+    if degree > MAX_ARTIN_HASSE_DEGREE:
+        raise InputError("degree %d exceeds the cap of %d" % (degree, MAX_ARTIN_HASSE_DEGREE))
     # derivative of the exponent: -sum x^(p^n - 1)
     gprime = [Fraction(0)] * degree
     q = 1

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ._arith import require_prime, vp
+from ._arith import rank, require_prime, vp
 from .errors import InputError, PrecisionError
-from .newton import ValuationPolygon, lower_convex_hull, np_from_slopes
+from .newton import ValuationPolygon
 from .snf import elementary_divisors
 
 __all__ = [
@@ -154,36 +154,11 @@ def a_number(pres):
     """dim_K of M / (FM + VM) mod p, by exact row reduction over F_{p^m}."""
     if pres.V is None:
         raise InputError("a-number needs the V action")
-    field = pres.context.field
     cols = []
     for M in (pres.F, pres.V):
         for j in range(pres.h):
             cols.append([M[i][j].residue() for i in range(pres.h)])
-    rank = _rank_ff(cols, field)
-    return pres.h - rank
-
-
-def _rank_ff(vectors, field):
-    rows = [list(v) for v in vectors]
-    rank = 0
-    col = 0
-    nrows = len(rows)
-    dim = len(rows[0]) if rows else 0
-    while col < dim and rank < nrows:
-        piv = next((r for r in range(rank, nrows) if not rows[r][col].is_zero()), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [inv * x for x in rows[rank]]
-        for r in range(nrows):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return pres.h - rank(cols)
 
 
 def dualize(pres):
@@ -290,13 +265,10 @@ def _np_of_display_general(dnf):
 
 
 def _hull_to_group_polygon(points, h, dim):
-    verts = lower_convex_hull(points)
-    if verts[-1] != (h, dim):
+    polygon = ValuationPolygon(h, points)
+    if polygon.vertices[-1] != (h, dim):
         raise InputError("hull does not end at (h, dim) = (%d, %d)" % (h, dim))
-    slopes = []
-    for (x1, y1), (x2, y2) in zip(verts, verts[1:]):
-        slopes.extend([Fraction(y2 - y1, x2 - x1)] * (x2 - x1))
-    return np_from_slopes(slopes)
+    return polygon.to_newton_polygon()
 
 
 def display_matrix(dnf):

@@ -10,7 +10,7 @@ certifiable.
 
 from functools import lru_cache
 
-from ._arith import factor_degrees, poly_deriv, poly_divmod, poly_mul, poly_mulmod, poly_sub, poly_trim, require_prime, vp
+from ._arith import factor_degrees, poly_deriv, poly_divmod, poly_mul, poly_mulmod, poly_sub, poly_trim, power, require_prime, vp
 from .errors import InputError, PrecisionError
 
 
@@ -62,14 +62,7 @@ class FFElement:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.field.one())
 
     def inverse(self):
         if self.is_zero():
@@ -242,14 +235,7 @@ class UElement:
         return self._same(other) - self
 
     def __pow__(self, k):
-        out = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.ring.one())
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
@@ -274,8 +260,9 @@ class UElement:
         if not self.is_unit():
             raise InputError("not a unit")
         r = self.ring
-        z = r.teichmuller(self.residue().inverse())
-        # Newton: z <- z(2 - u z) doubles p-adic accuracy each step
+        # any lift of the residue inverse is right mod p, and Newton's
+        # z <- z(2 - u z) doubles the p-adic accuracy each step
+        z = UElement(r, self.residue().inverse().coeffs)
         steps = 0
         acc = 1
         while acc < r.N:

@@ -6,9 +6,10 @@ together with (p, n), q = p^n.  Verification is fully exact:
 * irreducibility over Q by integer factorization (small degrees),
 * the functional equation T^e f(q/T) = f(0) f(T) coefficient by
   coefficient,
-* the root-modulus condition via Sturm sequences on the minimal
-  polynomial of the totally real element pi + q/pi, so no floating point
-  is ever consulted.
+* the root-modulus condition via Sturm sequences on the real Weil
+  polynomial h, f(T) = T^g h(T + q/T), read off f by integer
+  subtraction; h is the minimal polynomial of the totally real element
+  pi + q/pi, so no floating point is ever consulted.
 
 Classification follows the three-way case split (rational sqrt(q) /
 irrational real sqrt(q) / CM) and computes the division-algebra index as
@@ -18,7 +19,7 @@ the lcm of the orders of the local invariants in Q/Z.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 
 from ._arith import (
     divisors,
@@ -33,6 +34,7 @@ from ._arith import (
     poly_powmod,
     poly_sub,
     poly_trim,
+    rank,
     require_prime,
 )
 from .errors import InputError, PlaceResolutionError
@@ -268,24 +270,19 @@ def count_real_roots(f, lower=None, upper=None):
 # ---------------------------------------------------------------------------
 
 
-def _trace_minpoly(coeffs_asc, q):
-    """Minimal polynomial of beta = pi + q/pi in Q[x]/(f), ascending."""
-    e = len(coeffs_asc) - 1
-    if e == 1:
-        pi = Fraction(-coeffs_asc[0], coeffs_asc[1])
-        val = pi + q / pi
-        return [-val, Fraction(1)]
-    # q/pi = -q/c0 * (x^(e-1) + c_{e-1} x^(e-2) + ... + c_1), from f(pi)=0
-    c0 = coeffs_asc[0]
-    beta = [Fraction(-q * c, c0) for c in coeffs_asc[1:]]  # q/pi, deg e-1
-    beta[1] += 1
-    vecs = _power_vectors(beta, coeffs_asc)
-    # first linear dependency among vecs[0..k]
-    for k in range(1, e + 1):
-        dep = _solve_dependency(vecs[: k + 1])
-        if dep is not None:
-            return dep
-    raise InputError("no minimal polynomial found (impossible)")
+def _real_weil_polynomial(f, q):
+    """The integer h, ascending, with f(T) = T^g h(T + q/T) for an
+    ascending f of degree 2g with f(0) = q^g that satisfies the functional
+    equation: b_j is read off T^(g+j), then b_j T^(g-j) (T^2 + q)^j is
+    subtracted."""
+    f = list(f)
+    g = (len(f) - 1) // 2
+    h = [0] * (g + 1)
+    for j in range(g, -1, -1):
+        b = h[j] = f[g + j]
+        for i in range(j + 1):
+            f[g - j + 2 * i] -= b * comb(j, i) * q ** (j - i)
+    return h
 
 
 def _power_vectors(x, f):
@@ -297,37 +294,6 @@ def _power_vectors(x, f):
         cur = poly_mulmod(cur, x, f)
         vecs.append(cur + [0] * (e - len(cur)))
     return vecs
-
-
-def _solve_dependency(vecs):
-    """Monic dependency: vecs[k] = -sum a_i vecs[i] -> x^k + sum a_i x^i."""
-    k = len(vecs) - 1
-    rows = len(vecs[0])
-    # solve sum_{i<k} a_i vecs[i] = -vecs[k]
-    mat = [[vecs[i][r] for i in range(k)] + [-vecs[k][r]] for r in range(rows)]
-    piv = []
-    r0 = 0
-    for col in range(k):
-        sel = next((r for r in range(r0, rows) if mat[r][col] != 0), None)
-        if sel is None:
-            continue
-        mat[r0], mat[sel] = mat[sel], mat[r0]
-        inv = 1 / Fraction(mat[r0][col])
-        mat[r0] = [v * inv for v in mat[r0]]
-        for r in range(rows):
-            if r != r0 and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[r0])]
-        piv.append(col)
-        r0 += 1
-    # consistency
-    for r in range(r0, rows):
-        if mat[r][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for idx, col in enumerate(piv):
-        sol[col] = mat[idx][k]
-    return sol + [Fraction(1)]
 
 
 def _roots_all_real_and_bounded(h, q):
@@ -376,9 +342,15 @@ def weil_verify(minpoly, p, n):
     for k in range(e + 1):
         if asc[k] * q**k != c0 * asc[e - k]:
             raise WeilRejection("functional-equation")
-    h = _trace_minpoly(asc, q)
-    if not _roots_all_real_and_bounded(h, q):
-        raise WeilRejection("root-modulus")
+    # f irreducible of degree 2g with f(0) = q^g: the real Weil polynomial h
+    # is irreducible of degree g with root pi + q/pi, so it is that root's
+    # minimal polynomial.  Otherwise f(0) = -q^(e/2) or e is odd, since
+    # f(0)^2 = q^e; the functional equation at T = +-sqrt(q) then gives f a
+    # root +-sqrt(q) or the factor T^2 - q, and irreducibility leaves only
+    # f = T -+ sqrt(q) or f = T^2 - q, whose roots lie on |pi| = sqrt(q).
+    if e % 2 == 0 and c0 == q ** (e // 2):
+        if not _roots_all_real_and_bounded(_real_weil_polynomial(asc, q), q):
+            raise WeilRejection("root-modulus")
     return WeilNumber(tuple(coeffs_desc), p, n)
 
 
@@ -507,7 +479,4 @@ def field_stable_under_power(w, k):
     if w.e == 1:
         return True
     vecs = _power_vectors(poly_powmod([0, 1], k, asc), asc)
-    for deg in range(1, w.e + 1):
-        if _solve_dependency(vecs[: deg + 1]) is not None:
-            return deg == w.e
-    return False
+    return rank([[Fraction(c) for c in v] for v in vecs[: w.e]]) == w.e

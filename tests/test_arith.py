@@ -1,9 +1,13 @@
 """The exact-arithmetic kernel against brute-force oracles."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import combinations, permutations, product
 from math import gcd, isqrt, prod
+from operator import mul
 
 import pytest
 
@@ -22,10 +26,13 @@ from isolab._arith import (
     poly_mulmod,
     poly_powmod,
     poly_sub,
+    power,
+    rank,
     vp,
 )
+from isolab.cartier import CartierContext
 from isolab.errors import InputError
-from isolab.unramified import default_modulus, unramified_ring
+from isolab.unramified import default_modulus, finite_field, unramified_ring
 
 
 def _trial_division_primes(bound):
@@ -241,3 +248,123 @@ class TestTeichmullerDigits:
                 for i, r in enumerate(digits):
                     total = total + ring.from_int(p**i) * ring.teichmuller(r)
                 assert total == v
+
+
+def _det(m):
+    """Leibniz determinant of a small square integer matrix."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j])
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(len(m)))
+    return total
+
+
+def _rank_by_minors(m):
+    """Size of the largest nonzero minor."""
+    rows, cols = len(m), len(m[0])
+    for k in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                if _det([[m[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
+
+
+def _rank_by_span(vectors, field):
+    """log_{p^m} of the size of the span, materialized as a set."""
+    zero = tuple(field.zero() for _ in vectors[0])
+    span = {zero}
+    for v in vectors:
+        span = {tuple(x + a * y for x, y in zip(s, v)) for s in span for a in field.elements()}
+    k = 0
+    while len(span) > len(field.elements()) ** k:
+        k += 1
+    assert len(span) == len(field.elements()) ** k
+    return k
+
+
+class TestRank:
+    def test_rank_over_q_against_minors(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
+            m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+            if rows > 1 and rng.random() < 0.4:
+                a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                m[-1] = [a * x + b * y for x, y in zip(m[0], m[1 % (rows - 1)])]
+            assert rank([[Fraction(x) for x in row] for row in m]) == _rank_by_minors(m), m
+
+    @pytest.mark.parametrize("p, m, count", [(2, 1, 60), (3, 1, 40), (2, 2, 40), (3, 2, 15)])
+    def test_rank_over_ff_against_span(self, p, m, count):
+        field = finite_field(p, m)
+        rng = random.Random(p * 10 + m)
+        elements = field.elements()
+        for _ in range(count):
+            dim = rng.randrange(1, 4)
+            vectors = [[rng.choice(elements) for _ in range(dim)] for _ in range(rng.randrange(1, 4))]
+            if len(vectors) > 1 and rng.random() < 0.5:
+                a = rng.choice(elements)
+                vectors[-1] = [a * x for x in vectors[0]]
+            assert rank(vectors) == _rank_by_span(vectors, field)
+
+    def test_empty_and_zero(self):
+        assert rank([]) == 0
+        assert rank([[Fraction(0), Fraction(0)]]) == 0
+
+
+def _power_cases():
+    ff = finite_field(3, 2)
+    ring = unramified_ring(2, 2, 4)
+    ctx = CartierContext(2, 2, 3)
+    return [
+        (ff(1) + ff.generator(), ff.one()),
+        (ring.from_coeffs([3, 1]), ring.one()),
+        (ctx.element([(0, 0, ctx.field.generator()), (1, 0, 1)]), ctx.one()),
+        (ctx.V() + ctx.F(), ctx.one()),
+    ]
+
+
+class TestPower:
+    def test_power_is_repeated_multiplication(self):
+        for x, one in _power_cases():
+            for k in range(9):
+                assert power(x, k, one) == reduce(mul, [x] * k, one)
+                assert x**k == power(x, k, one)
+            assert power(x, 0, one) is one
+
+    def test_power_of_integers_and_negative_exponent(self):
+        assert [power(3, k, 1) for k in range(6)] == [3**k for k in range(6)]
+        with pytest.raises(InputError):
+            power(3, -1, 1)
+
+    def test_negative_ff_power_is_inverse_power(self):
+        field = finite_field(2, 3)
+        for x in field.elements()[1:]:
+            for k in range(1, 5):
+                assert x**-k == x.inverse() ** k
+                assert x**-k * x**k == field.one()
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        "x = unramified_ring(3, 1, 4).from_int(2)",
+        "x = WittContext(3, 1, 4).element(2)",
+        "x = CartierContext(2, 1, 3).one()",
+    ],
+)
+def test_negative_power_of_a_ring_element_is_refused(setup):
+    # each of these once looped forever: -1 >> 1 == -1
+    code = (
+        "from isolab.cartier import CartierContext\n"
+        "from isolab.errors import InputError\n"
+        "from isolab.unramified import unramified_ring\n"
+        "from isolab.witt import WittContext\n"
+        "%s\n"
+        "try:\n"
+        "    x ** -1\n"
+        "except InputError as ex:\n"
+        "    print('refused:', ex)\n" % setup
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.stdout.startswith("refused:") and proc.stderr == ""

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from isolab.cli import main, parse_polygon
+from isolab.cartier import MAX_ARTIN_HASSE_DEGREE, artin_hasse
+from isolab.cli import MAX_POLYGON_HEIGHT, MAX_PRECISION, main, parse_polygon
 from isolab.errors import InputError
 from isolab.newton import np_from_pairs
 
@@ -223,6 +224,34 @@ class TestExitCodes:
             monkeypatch.setenv("ISOLAB_PRECISION", env)
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [
+            (["witt", "teichmuller", "--p", "3", "--a", "1", "--N", "20000"], MAX_PRECISION),
+            (["dieudonne", "a-number", "--json", json.dumps({"p": 2, "h": 1, "N": 20000, "F": [[1]], "V": [[2]]})], MAX_PRECISION),
+            (["cartier", "artin-hasse", "--p", "2", "--degree", "20000"], MAX_ARTIN_HASSE_DEGREE),
+            (["np", "dim", "--pairs", "99999999999*(1,0)"], MAX_POLYGON_HEIGHT),
+            (["np", "dim", "--pairs", "99999999999*(0,0)"], MAX_POLYGON_HEIGHT),
+        ],
+    )
+    def test_size_over_its_cap_is_2(self, argv, cap):
+        # each of these once hung, ran out of memory or ended in a traceback
+        proc = run_cli(*argv, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "Traceback" not in proc.stderr and "cap of %d" % cap in proc.stderr
+
+    def test_caps_are_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setenv("ISOLAB_PRECISION", str(MAX_PRECISION + 1))
+        assert main(["witt", "valuation", "--p", "3", "--a", "1"]) == 2
+        assert main(["witt", "valuation", "--p", "3", "--a", "1", "--N", str(MAX_PRECISION)]) == 0
+        assert "cap of %d" % MAX_PRECISION in capsys.readouterr().err
+        assert parse_polygon("%d*(1,0)" % MAX_POLYGON_HEIGHT).h == MAX_POLYGON_HEIGHT
+        with pytest.raises(InputError):
+            parse_polygon("%d*(1,1)+(0,1)" % (MAX_POLYGON_HEIGHT // 2))
+        assert len(artin_hasse(2, MAX_ARTIN_HASSE_DEGREE)) == MAX_ARTIN_HASSE_DEGREE + 1
+        with pytest.raises(InputError):
+            artin_hasse(2, MAX_ARTIN_HASSE_DEGREE + 1)
 
     def test_precision_error_is_3(self):
         payload = json.dumps({"p": 2, "m": 1, "N": 4, "h": 2, "F": [["16", "0"], ["0", "1"]]})

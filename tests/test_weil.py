@@ -1,11 +1,15 @@
 """Weil number verification and Honda-Tate classification."""
 
+import hashlib
+import json
+import random
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 
-from isolab.errors import InputError, PlaceResolutionError
+from isolab.errors import InputError, IsolabError, PlaceResolutionError
+from isolab._arith import poly_mul
 from isolab.weil import (
     HondaTateData,
     WeilRejection,
@@ -243,3 +247,78 @@ class TestFieldStability:
         # pi^2 = -3 is rational: the field shrinks
         w = weil_verify([1, 0, 3], 3, 1)
         assert not field_stable_under_power(w, 2)
+
+
+def _functional_equation_candidate(rng, e, q, sign):
+    """Monic integer polynomial of degree e (descending) whose coefficients
+    satisfy c_k q^k = c_0 c_(e-k) with c_0 = sign * q^(e/2); e odd needs q
+    a square.  For sign = 1 and e even, half of them are T^(e/2) h(T + q/T)
+    with h = prod (T - r_i) + d for integers r_i inside (-2 sqrt(q),
+    2 sqrt(q)) and d in {-1, 0, 1}; the others draw the top half of f
+    inside the Weil bounds |c_(e-j)| <= C(e, j) q^(j/2)."""
+    if sign == 1 and e % 2 == 0 and rng.random() < 0.5:
+        g = e // 2
+        top = isqrt(4 * q - 1)
+        h = [1]
+        for _ in range(g):
+            h = poly_mul(h, [-rng.randint(-top, top), 1])
+        h[0] += rng.randint(-1, 1)
+        f = [0] * (e + 1)
+        for j, b in enumerate(h):
+            for i in range(j + 1):
+                f[g - j + 2 * i] += b * comb(j, i) * q ** (j - i)
+        return list(reversed(f))
+    asc = [0] * (e + 1)
+    asc[e] = 1
+    for k in range(e - 1, (e - 1) // 2, -1):
+        bound = comb(e, e - k) * isqrt(q ** (e - k))
+        asc[k] = rng.randint(-bound, bound)
+    if e % 2 == 0 and sign == -1:
+        asc[e // 2] = 0
+    for k in range((e + 1) // 2):
+        asc[k] = sign * isqrt(q**e) // q**k * asc[e - k]
+    return list(reversed(asc))
+
+
+def _weil_pin_cases():
+    cases = [([1, a, b, 2 * a, 4], 2, 1) for a in range(-5, 6) for b in range(-12, 13)]
+    for p, n in ((2, 1), (3, 1), (2, 2), (3, 2), (5, 1), (2, 3)):
+        q = p**n
+        r = isqrt(q)
+        cases += [([1, 0, -q], p, n), ([1, -r], p, n), ([1, r], p, n)]
+    rng = random.Random(20261018)
+    for _ in range(300):
+        p = rng.choice((2, 3))
+        e = rng.randrange(1, 7)
+        n = 2 if e % 2 or e == 2 else 1
+        f = _functional_equation_candidate(rng, e, p**n, rng.choice((1, 1, 1, -1)))
+        if rng.random() < 0.1:
+            f[rng.randrange(1, e + 1)] += rng.choice((-1, 1))
+        cases.append((f, p, n))
+    return cases
+
+
+def _weil_pin_record(minpoly, p, n):
+    try:
+        w = weil_verify(minpoly, p, n)
+    except InputError as ex:
+        return [minpoly, p, n, getattr(ex, "reason", type(ex).__name__)]
+    try:
+        ht = honda_tate(w).to_json()
+    except IsolabError as ex:
+        ht = type(ex).__name__
+    return [minpoly, p, n, "accepted", ht, [field_stable_under_power(w, k) for k in (1, 2, 3, 4, 6)]]
+
+
+# sha256 of the verdicts, Honda-Tate data and field stabilities of the
+# cases above, generated before weil_verify read the real Weil polynomial
+# off f; any change to it is a change of behaviour.
+WEIL_PIN_SHA256 = "df19f9f63339cc5cee378a4d4a0cb50fc2370bb01cc7254ff4f9e7b751ba3623"
+
+
+def test_weil_behaviour_pinned():
+    records = [_weil_pin_record(*case) for case in _weil_pin_cases()]
+    verdicts = {r[3] for r in records}
+    assert {"accepted", "reducible", "functional-equation", "root-modulus"} <= verdicts
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == WEIL_PIN_SHA256
