@@ -49,9 +49,9 @@ from .witt import WittContext, ghost_components
 
 USAGE_EXIT = 64
 # Largest precision N and polygon height served.  On a 2-vCPU Xeon,
-# `witt teichmuller --p 3` takes 0.3 s at N = 128 and 1.2 s at 256 (33 s
-# for `witt add` over F_{31^3}), and `np dim` 0.75 s at h = 1000 and 12 s
-# at 2000.
+# `witt add` over F_{31^3} takes 0.07 s at N = 128 and 0.12 s at 256, and
+# `np dim --pairs "k*(1,0)+k*(0,1)"` 0.7 s at h = 2k = 1000 and 3.2 s at
+# 2000.
 MAX_PRECISION = 128
 MAX_POLYGON_HEIGHT = 1000
 
@@ -268,7 +268,10 @@ def _cartier_artin_hasse(args):
 
 
 def _dieudonne_gmn(args):
-    ctx = WittContext(args.p, args.m, max(args.N, args.gm + args.gn + 2))
+    need = args.gm + args.gn + 2
+    if need > MAX_PRECISION:
+        raise InputError("m + n + 2 = %d exceeds the precision cap of %d" % (need, MAX_PRECISION))
+    ctx = WittContext(args.p, args.m, max(args.N, need))
     pres = gmn_module(args.gm, args.gn, ctx)
     a = a_number(pres)
     _emit(

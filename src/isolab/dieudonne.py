@@ -107,11 +107,13 @@ def _matmul(A, B):
     ring0 = A[0][0].ring
     out = []
     for i in range(n):
+        # skip zero entries: a G_{m,n} presentation has one nonzero per row
+        terms = [(a, B[k]) for k, a in enumerate(A[i]) if not a.is_zero()]
         row = []
         for j in range(n):
             acc = ring0.zero()
-            for k in range(n):
-                acc = acc + A[i][k] * B[k][j]
+            for a, b in terms:
+                acc = acc + a * b[j]
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)

@@ -9,6 +9,7 @@ certifiable.
 """
 
 from functools import lru_cache
+from operator import mul
 
 from ._arith import factor_degrees, poly_deriv, poly_divmod, poly_mul, poly_mulmod, poly_sub, poly_trim, power, require_prime, vp
 from .errors import InputError, PrecisionError
@@ -79,7 +80,9 @@ class FFElement:
         return FFElement(self.field, [c * x % p for x in s1])
 
     def frobenius(self, k=1):
-        return self ** (self.field.p ** (k % self.field.m))
+        """self^(p^k): the field's matrix of x -> x^(p^k) times the
+        coefficient vector."""
+        return FFElement(self.field, [sum(map(mul, row, self.coeffs)) for row in self.field._frobenius_matrix(k)])
 
     def frobenius_inv(self, k=1):
         return self.frobenius(self.field.m - (k % self.field.m))
@@ -109,6 +112,7 @@ class FiniteField:
         self.p = p
         self.m = m
         self.modulus = default_modulus(p, m)
+        self._frobenius = {}
 
     def __call__(self, coeffs):
         if isinstance(coeffs, int):
@@ -132,6 +136,19 @@ class FiniteField:
 
     def generator(self):
         return FFElement(self, [0, 1])
+
+    def _frobenius_matrix(self, k):
+        """Rows of the matrix of x -> x^(p^k) on the basis 1, g, ...,
+        g^(m-1), whose column j is (g^j)^(p^k); built once per k mod m."""
+        k %= self.m
+        rows = self._frobenius.get(k)
+        if rows is None:
+            image = power(self.generator(), self.p**k, self.one())
+            cols = [self.one()]
+            while len(cols) < self.m:
+                cols.append(cols[-1] * image)
+            rows = self._frobenius[k] = list(zip(*(c.coeffs for c in cols)))
+        return rows
 
     def elements(self):
         """All p^m elements, in a fixed order."""
@@ -306,6 +323,7 @@ class UnramifiedRing:
         self.pN = p**N
         self.modulus = self.field.modulus
         self._sigma_powers = self._build_sigma()
+        self._teichmuller = {}
 
     # -- internal -----------------------------------------------------
 
@@ -376,10 +394,24 @@ class UnramifiedRing:
 
     def teichmuller(self, c):
         """The multiplicative lift: the unique root of unity (or 0)
-        reducing to c.  Computed as lift(c)^(p^(m*(N-1)))."""
+        reducing to c, i.e. the root of X^q - X (q = p^m) over c.
+
+        Each residue is lifted once per ring, by Newton on X^q - X
+        started from the plain lift.  At a nonzero root the derivative is
+        the integer unit q - 1, so the fixed step
+        x <- (q x - x^q) / (q - 1) doubles the p-adic accuracy each time
+        and ceil(log2 N) steps reach p^N; 0 is a fixed point of the step."""
         c = self.field.coerce(c)
-        e = UElement(self, list(c.coeffs))
-        return e ** (self.p ** (self.m * (self.N - 1)))
+        lift = self._teichmuller.get(c.coeffs)
+        if lift is None:
+            q = self.p**self.m
+            scale = pow(q - 1, -1, self.pN)
+            lift = UElement(self, c.coeffs)
+            for _ in range((self.N - 1).bit_length()):
+                xq = (lift**q).coeffs
+                lift = UElement(self, [scale * (q * a - b) for a, b in zip(lift.coeffs, xq)])
+            self._teichmuller[c.coeffs] = lift
+        return lift
 
     def teichmuller_digits(self, v, k):
         """The first k Teichmuller digits r_0..r_{k-1} of v, as residues

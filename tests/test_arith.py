@@ -32,7 +32,7 @@ from isolab._arith import (
 )
 from isolab.cartier import CartierContext
 from isolab.errors import InputError
-from isolab.unramified import default_modulus, finite_field, unramified_ring
+from isolab.unramified import UElement, default_modulus, finite_field, unramified_ring
 
 
 def _trial_division_primes(bound):
@@ -248,6 +248,45 @@ class TestTeichmullerDigits:
                 for i, r in enumerate(digits):
                     total = total + ring.from_int(p**i) * ring.teichmuller(r)
                 assert total == v
+
+
+SMALL_FIELDS = [(p, m) for p in range(2, 65) if is_prime(p) for m in range(1, 7) if p**m <= 64]
+
+
+class TestLiftAndFrobeniusTables:
+    @pytest.mark.parametrize("p, m", SMALL_FIELDS)
+    def test_newton_lift_is_the_power_definition(self, p, m):
+        # p^m = 2 covers q - 1 = 1
+        for N in (1, 2, 3, 5, 8, 13):
+            ring = unramified_ring(p, m, N)
+            for c in ring.field.elements():
+                assert ring.teichmuller(c) == UElement(ring, c.coeffs) ** (p ** (m * (N - 1))), (N, c)
+
+    @pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (2, 5)])
+    def test_frobenius_matrix_is_the_power_definition(self, p, m):
+        field = finite_field(p, m)
+        for c in field.elements():
+            for k in range(-1, 2 * m + 1):
+                assert c.frobenius(k) == power(c, p ** (k % m), field.one()), (c, k)
+
+    def test_repeated_lift_is_the_table_entry(self):
+        ring = unramified_ring(3, 2, 5)
+        c = ring.field([1, 2])
+        lift = ring.teichmuller(c)
+        assert ring.teichmuller(ring.field([1, 2])) is lift
+        assert ring.teichmuller_digits(ring.from_coeffs([4, 2]), 1)[0] == [c]
+        assert ring.teichmuller(c) is lift
+
+    def test_rebuilt_ring_starts_with_empty_tables(self):
+        ring = unramified_ring(2, 3, 4)
+        ring.teichmuller(ring.field.generator())
+        ring.field.generator().frobenius()
+        assert ring._teichmuller and ring.field._frobenius
+        unramified_ring.cache_clear()
+        finite_field.cache_clear()
+        rebuilt = unramified_ring(2, 3, 4)
+        assert rebuilt is not ring and rebuilt.field is not ring.field
+        assert rebuilt._teichmuller == {} and rebuilt.field._frobenius == {}
 
 
 def _det(m):

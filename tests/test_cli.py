@@ -233,6 +233,7 @@ class TestExitCodes:
             (["cartier", "artin-hasse", "--p", "2", "--degree", "20000"], MAX_ARTIN_HASSE_DEGREE),
             (["np", "dim", "--pairs", "99999999999*(1,0)"], MAX_POLYGON_HEIGHT),
             (["np", "dim", "--pairs", "99999999999*(0,0)"], MAX_POLYGON_HEIGHT),
+            (["dieudonne", "gmn", "--m", "1", "--n", "400", "--p", "2"], MAX_PRECISION),
         ],
     )
     def test_size_over_its_cap_is_2(self, argv, cap):
@@ -245,6 +246,12 @@ class TestExitCodes:
         monkeypatch.setenv("ISOLAB_PRECISION", str(MAX_PRECISION + 1))
         assert main(["witt", "valuation", "--p", "3", "--a", "1"]) == 2
         assert main(["witt", "valuation", "--p", "3", "--a", "1", "--N", str(MAX_PRECISION)]) == 0
+        assert "cap of %d" % MAX_PRECISION in capsys.readouterr().err
+        # dieudonne gmn works at N = m + n + 2
+        gmn = ["dieudonne", "gmn", "--m", "1", "--p", "2", "--N", "6", "--n"]
+        assert main(gmn + [str(MAX_PRECISION - 3)]) == 0
+        assert capsys.readouterr().out == "ht=%d dim=1 a=1\n" % (MAX_PRECISION - 2)
+        assert main(gmn + [str(MAX_PRECISION - 2)]) == 2
         assert "cap of %d" % MAX_PRECISION in capsys.readouterr().err
         assert parse_polygon("%d*(1,0)" % MAX_POLYGON_HEIGHT).h == MAX_POLYGON_HEIGHT
         with pytest.raises(InputError):
@@ -469,6 +476,9 @@ PINNED = [
     (['poset', 'chain', '--h', '4', '--d', '2'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     (['poset', 'witness', '--h', '4', '--d', '2'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     (['poset', 'dot', '--h', '4', '--d', '2'], 0, '434a71a5969b3a023a6c81b6faae6d07e65ba3ef431c603ebb6dad8e96d4cb5f'),
+    # over F_{31^3} at the precision cap, pinned from lifts computed as
+    # lift(c)^(p^(m(N-1)))
+    (['witt', 'add', '--p', '31', '--m', '3', '--a', '1,2', '--b', '1,5', '--N', '128'], 0, '3cb199e2235fef0e4bc23ab5c6d27e3b71757f70e13c81cd2abae0f4fb343935'),
 ]
 
 
