@@ -114,7 +114,10 @@ def _polygon_arg(args):
     if args.pairs:
         return parse_polygon(args.pairs)
     if args.json:
-        return np_from_json(_payload(args.json))
+        z = np_from_json(_payload(args.json))  # linear in the payload, unlike the work after it
+        if z.h > MAX_POLYGON_HEIGHT:
+            raise InputError("polygon height %d exceeds the cap of %d" % (z.h, MAX_POLYGON_HEIGHT))
+        return z
     raise InputError("provide --pairs or --json")
 
 

@@ -49,12 +49,11 @@ class DieudonnePresentation:
 
     def _check_fv(self):
         ring = self.context.ring
-        p = ring.from_int(self.context.p)
         fsv = _matmul(self.F, _mat_sigma(ring, self.V, 1))
         vsf = _matmul(self.V, _mat_sigma(ring, self.F, -1))
         for i in range(self.h):
             for j in range(self.h):
-                want = p if i == j else ring.zero()
+                want = self.context.p if i == j else 0
                 if fsv[i][j] != want or vsf[i][j] != want:
                     raise InputError("F.sigma(V) and V.sigma^-1(F) must both be p*Id")
 
@@ -120,9 +119,7 @@ def _matmul(A, B):
 
 
 def _mat_sigma(ring, M, k):
-    if k >= 0:
-        return tuple(tuple(ring.sigma(e, k) for e in row) for row in M)
-    return tuple(tuple(ring.sigma_inv(e, -k) for e in row) for row in M)
+    return tuple(tuple(ring.sigma(e, k) for e in row) for row in M)
 
 
 def _transpose(M):
@@ -253,9 +250,7 @@ def _np_of_display_general(dnf):
         slots = [(i, j) for (i, j) in dnf.entries if j - i == t - 1]
         if not slots:
             continue
-        acc = ring.zero()
-        for i, j in slots:
-            acc = acc + ring.from_int(p) ** (j - dnf.s) * ring.sigma(dnf.entries[(i, j)], dnf.h - j)
+        acc = sum((p ** (j - dnf.s) * ring.sigma(dnf.entries[(i, j)], dnf.h - j) for i, j in slots), ring.zero())
         v = acc.valuation()
         if v is None:
             raise PrecisionError(

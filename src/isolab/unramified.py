@@ -9,9 +9,10 @@ certifiable.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 from operator import mul
 
-from ._arith import factor_degrees, poly_deriv, poly_divmod, poly_mul, poly_mulmod, poly_sub, poly_trim, power, require_prime, vp
+from ._arith import factor_degrees, poly_deriv, poly_divmod, poly_eval, poly_mul, poly_mulmod, poly_sub, poly_trim, power, require_prime, vp
 from .errors import InputError, PrecisionError
 
 
@@ -19,13 +20,34 @@ def default_modulus(p, m):
     """First monic degree-m polynomial (lexicographic in constant..x^(m-1))
     irreducible mod p.  Fixes the generator basis for F_{p^m} once and
     for all, so rendered elements are reproducible."""
-    if m == 1:
-        return (0, 1)  # F_p = Z[x]/(p, x)
-    for code in range(p**m):
+    for code in range(p**m):  # m = 1 gives x: F_p = Z[x]/(p, x)
         f = [code // p**i % p for i in range(m)] + [1]
         if factor_degrees(f, p) == [m]:
             return tuple(f)
     raise InputError("no irreducible polynomial found (impossible)")
+
+
+def _apply(rows, coeffs):
+    return [sum(map(mul, row, coeffs)) for row in rows]
+
+
+def _frobenius_rows(algebra, table, k, image=None):
+    """Rows of the matrix of phi^k on the basis 1, x, ..., x^(m-1), where phi
+    is Frobenius on F_{p^m} or sigma on its lift ring: column j is phi^k(x)^j.
+    `table` holds the rows per k mod m, each filled when first asked for;
+    phi^k(x) is `image` for k = 1, else the k = 1 matrix applied k times to x."""
+    k %= algebra.m
+    rows = table.get(k)
+    if rows is None:
+        one = algebra.one()
+        if image is None:
+            image = [0, 1]
+            for _ in range(k):
+                image = _apply(table[1 % algebra.m], image)
+            image = type(one)(algebra, image)
+        cols = accumulate([image] * (algebra.m - 1), mul, initial=one)
+        rows = table[k] = list(zip(*(c.coeffs for c in cols)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +102,11 @@ class FFElement:
         return FFElement(self.field, [c * x % p for x in s1])
 
     def frobenius(self, k=1):
-        """self^(p^k): the field's matrix of x -> x^(p^k) times the
-        coefficient vector."""
-        return FFElement(self.field, [sum(map(mul, row, self.coeffs)) for row in self.field._frobenius_matrix(k)])
+        """self^(p^k), by the field's matrix of x -> x^(p^k)."""
+        return FFElement(self.field, _apply(self.field._frobenius_matrix(k), self.coeffs))
 
     def frobenius_inv(self, k=1):
-        return self.frobenius(self.field.m - (k % self.field.m))
+        return self.frobenius(-k)
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
@@ -140,15 +161,9 @@ class FiniteField:
     def _frobenius_matrix(self, k):
         """Rows of the matrix of x -> x^(p^k) on the basis 1, g, ...,
         g^(m-1), whose column j is (g^j)^(p^k); built once per k mod m."""
-        k %= self.m
-        rows = self._frobenius.get(k)
-        if rows is None:
-            image = power(self.generator(), self.p**k, self.one())
-            cols = [self.one()]
-            while len(cols) < self.m:
-                cols.append(cols[-1] * image)
-            rows = self._frobenius[k] = list(zip(*(c.coeffs for c in cols)))
-        return rows
+        if not self._frobenius:
+            _frobenius_rows(self, self._frobenius, 1, self.generator() ** self.p)
+        return _frobenius_rows(self, self._frobenius, k)
 
     def elements(self):
         """All p^m elements, in a fixed order."""
@@ -236,6 +251,8 @@ class UElement:
         return UElement(self.ring, [-a for a in self.coeffs])
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return UElement(self.ring, [other * a for a in self.coeffs])
         other = self._same(other)
         r = self.ring
         raw = [0] * (2 * r.m - 1) if r.m > 1 else [0]
@@ -276,18 +293,11 @@ class UElement:
     def inverse(self):
         if not self.is_unit():
             raise InputError("not a unit")
-        r = self.ring
         # any lift of the residue inverse is right mod p, and Newton's
         # z <- z(2 - u z) doubles the p-adic accuracy each step
-        z = UElement(r, self.residue().inverse().coeffs)
-        steps = 0
-        acc = 1
-        while acc < r.N:
-            z = z * (r.from_int(2) - self * z)
-            acc *= 2
-            steps += 1
-            if steps > 64:
-                raise PrecisionError("inversion failed to converge")
+        z = UElement(self.ring, self.residue().inverse().coeffs)
+        for _ in range((self.ring.N - 1).bit_length()):
+            z = z * (2 - self * z)
         return z
 
     def exact_div_p(self):
@@ -312,7 +322,8 @@ class UnramifiedRing:
     """W_N(F_{p^m}) = Z[x]/(p^N, hbar), with the Frobenius lift sigma.
 
     sigma is a genuine ring automorphism reducing to a |-> a^p mod p and
-    satisfying sigma^m = id; both facts are asserted at construction.
+    satisfying sigma^m = id; both facts are asserted at construction.  Like
+    the field's Frobenius, sigma^k is a matrix filled once per k mod m.
     """
 
     def __init__(self, p, m, N):
@@ -322,8 +333,21 @@ class UnramifiedRing:
         self.p, self.m, self.N = p, m, N
         self.pN = p**N
         self.modulus = self.field.modulus
-        self._sigma_powers = self._build_sigma()
         self._teichmuller = {}
+        # sigma(x) is the root of hbar over x^p, Hensel-lifted from mod p
+        f, df = self.modulus, poly_deriv(self.modulus)
+        x = y = UElement(self, [0, 1])
+        r = x**p
+        for _ in range((N - 1).bit_length() + 1):
+            r = r - poly_eval(f, r) * poly_eval(df, r).inverse()
+        if not poly_eval(f, r).is_zero():
+            raise PrecisionError("Frobenius lift did not converge")
+        self._sigma = {}
+        _frobenius_rows(self, self._sigma, 1, r)
+        for _ in range(m):
+            y = self.sigma(y)
+        if y != x:
+            raise PrecisionError("sigma^m != id; modulus not unramified-compatible")
 
     # -- internal -----------------------------------------------------
 
@@ -340,33 +364,6 @@ class UnramifiedRing:
                 raw[i] = 0
         return [c % self.pN for c in raw[:m]]
 
-    def _build_sigma(self):
-        if self.m == 1:
-            return [None]
-        # Hensel-lift the root x^p of hbar, starting mod p
-        x = UElement(self, [0, 1])
-        r = x ** self.p
-        for _ in range(max(1, (self.N - 1).bit_length() + 1)):
-            fr = self._eval_poly(self.modulus, r)
-            dfr = self._eval_poly(poly_deriv(self.modulus), r)
-            r = r - fr * dfr.inverse()
-        if not self._eval_poly(self.modulus, r).is_zero():
-            raise PrecisionError("Frobenius lift did not converge")
-        powers = [UElement(self, [0, 1]), r]
-        for _ in range(2, self.m):
-            powers.append(self._eval_poly(powers[-1].coeffs, r))
-        # sigma^m must be the identity on the generator
-        if self._eval_poly(powers[-1].coeffs, r) != powers[0]:
-            raise PrecisionError("sigma^m != id; modulus not unramified-compatible")
-        return powers
-
-    def _eval_poly(self, coeffs, point):
-        """Horner evaluation of an integer coefficient sequence at point."""
-        out = self.zero()
-        for c in reversed(coeffs):
-            out = out * point + self.from_int(c)
-        return out
-
     # -- public -------------------------------------------------------
 
     def zero(self):
@@ -382,15 +379,12 @@ class UnramifiedRing:
         return UElement(self, list(coeffs))
 
     def sigma(self, elem, k=1):
+        """sigma^k(elem) for any integer k, by the matrix of sigma^(k mod m)."""
         if elem.ring is not self:
             raise InputError("context mismatch")
-        k %= self.m
-        if k == 0 or self.m == 1:
+        if k % self.m == 0:
             return elem
-        return self._eval_poly(elem.coeffs, self._sigma_powers[k])
-
-    def sigma_inv(self, elem, k=1):
-        return self.sigma(elem, self.m - (k % self.m))
+        return UElement(self, _apply(_frobenius_rows(self, self._sigma, k), elem.coeffs))
 
     def teichmuller(self, c):
         """The multiplicative lift: the unique root of unity (or 0)

@@ -75,17 +75,14 @@ class WittContext:
 
     def from_coordinates(self, coords):
         """Witt coordinates (c_0,...,c_{N-1}), c_i in F_{p^m} (or ints)."""
-        coords = [self.field.coerce(c) if not isinstance(c, int) else self.field(c) for c in coords]
+        coords = [self.field.coerce(c) for c in coords]
         if len(coords) > self.N:
             raise InputError("more coordinates than the precision carries")
-        coords += [self.field.zero()] * (self.N - len(coords))
-        acc = self.ring.zero()
-        for i, c in enumerate(coords):
-            acc = acc + self.ring.from_int(self.p) ** i * self.ring.sigma_inv(self.ring.teichmuller(c), i)
-        return WittElement(self, acc)
+        lifts = (self.p**i * self.ring.teichmuller(c.frobenius_inv(i)) for i, c in enumerate(coords))
+        return WittElement(self, sum(lifts, self.ring.zero()))
 
     def teichmuller(self, c):
-        return WittElement(self, self.ring.teichmuller(self.field.coerce(c) if not isinstance(c, int) else self.field(c)))
+        return WittElement(self, self.ring.teichmuller(self.field.coerce(c)))
 
     def zero(self):
         return WittElement(self, self.ring.zero())
@@ -136,12 +133,12 @@ class WittElement:
         return WittElement(self.context, self.value.sigma())
 
     def frobenius_inv(self):
-        return WittElement(self.context, self.context.ring.sigma_inv(self.value))
+        return WittElement(self.context, self.value.sigma(-1))
 
     def verschiebung(self):
         """V = p * sigma^(-1)."""
         ctx = self.context
-        return WittElement(ctx, ctx.ring.from_int(ctx.p) * ctx.ring.sigma_inv(self.value))
+        return WittElement(ctx, ctx.p * self.value.sigma(-1))
 
     def valuation(self):
         """Exact p-adic valuation, or None when the element cannot be told

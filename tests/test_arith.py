@@ -19,6 +19,7 @@ from isolab._arith import (
     factor_int,
     is_prime,
     poly_add,
+    poly_deriv,
     poly_divmod,
     poly_eval,
     poly_gcd,
@@ -32,7 +33,7 @@ from isolab._arith import (
 )
 from isolab.cartier import CartierContext
 from isolab.errors import InputError
-from isolab.unramified import UElement, default_modulus, finite_field, unramified_ring
+from isolab.unramified import UElement, UnramifiedRing, default_modulus, finite_field, unramified_ring
 
 
 def _trial_division_primes(bound):
@@ -287,6 +288,76 @@ class TestLiftAndFrobeniusTables:
         rebuilt = unramified_ring(2, 3, 4)
         assert rebuilt is not ring and rebuilt.field is not ring.field
         assert rebuilt._teichmuller == {} and rebuilt.field._frobenius == {}
+
+
+def _horner(ring, coeffs, point):
+    """Horner evaluation of an integer coefficient sequence at a ring element."""
+    out = ring.zero()
+    for c in reversed(coeffs):
+        out = out * point + ring.from_int(c)
+    return out
+
+
+def _horner_sigma_powers(ring):
+    """sigma^k(x) for k < m, as the ring once built them: sigma(x) by Newton
+    on hbar from x^p, then sigma^k(x) = sigma^(k-1)(x) evaluated at sigma(x)."""
+    x = UElement(ring, [0, 1])
+    r = x**ring.p
+    for _ in range(max(1, (ring.N - 1).bit_length() + 1)):
+        r = r - _horner(ring, ring.modulus, r) * _horner(ring, poly_deriv(ring.modulus), r).inverse()
+    powers = [x, r]
+    while len(powers) < ring.m:
+        powers.append(_horner(ring, powers[-1].coeffs, r))
+    return powers
+
+
+def _horner_sigma(ring, powers, a, k):
+    """sigma^k(a) as a(sigma^k(x)), evaluated by Horner."""
+    k %= ring.m
+    return a if k == 0 else _horner(ring, a.coeffs, powers[k])
+
+
+class TestSigmaMatrices:
+    @pytest.mark.parametrize("p, m", SMALL_FIELDS)
+    def test_sigma_is_the_horner_definition(self, p, m):
+        rng = random.Random(p * 10 + m)
+        for N in (1, 2, 3, 5, 8):
+            ring = unramified_ring(p, m, N)
+            powers = _horner_sigma_powers(ring)
+            elements = [UElement(ring, c.coeffs) for c in ring.field.elements()]
+            elements += [ring.from_coeffs([rng.randrange(ring.pN) for _ in range(m)]) for _ in range(50)]
+            for k in range(-m, 2 * m + 1):
+                for a in elements:
+                    assert ring.sigma(a, k) == _horner_sigma(ring, powers, a, k), (N, k, a)
+
+    @pytest.mark.parametrize("p, m", SMALL_FIELDS)
+    def test_inverse_sigma_of_a_lift_is_the_lift_of_the_root(self, p, m):
+        # sigma^-i [c] = [c^(p^-i)]
+        for N in (1, 2, 3, 5, 8):
+            ring = unramified_ring(p, m, N)
+            for c in ring.field.elements():
+                for i in range(N):
+                    assert ring.teichmuller(c.frobenius_inv(i)) == ring.sigma(ring.teichmuller(c), -i), (N, c, i)
+
+    @pytest.mark.parametrize("p, m, N", [(2, 1, 5), (2, 3, 4), (3, 2, 6), (5, 2, 3), (61, 1, 2)])
+    def test_scaling_by_an_int_is_the_ring_product(self, p, m, N):
+        ring = unramified_ring(p, m, N)
+        rng = random.Random(N)
+        for _ in range(20):
+            a = ring.from_coeffs([rng.randrange(ring.pN) for _ in range(m)])
+            for k in (-(p**N), -1, 0, 1, p, p**N + 3):
+                assert k * a == a * k == ring.from_int(k) * a, (a, k)
+
+    def test_a_new_ring_holds_only_the_sigma_matrix(self):
+        for p, m in SMALL_FIELDS:
+            assert list(UnramifiedRing(p, m, 3)._sigma) == [1 % m], (p, m)
+        ring = unramified_ring(2, 3, 4)
+        ring.sigma(ring.from_coeffs([1, 1]), -1)
+        assert sorted(ring._sigma) == [1, 2]
+        unramified_ring.cache_clear()
+        finite_field.cache_clear()
+        rebuilt = unramified_ring(2, 3, 4)
+        assert rebuilt is not ring and list(rebuilt._sigma) == [1]
 
 
 def _det(m):

@@ -7,10 +7,17 @@ import sys
 
 import pytest
 
-from isolab.cartier import MAX_ARTIN_HASSE_DEGREE, artin_hasse
+from isolab.cartier import MAX_ARTIN_HASSE_DEGREE, MAX_WORKING_PRECISION, artin_hasse
 from isolab.cli import MAX_POLYGON_HEIGHT, MAX_PRECISION, main, parse_polygon
 from isolab.errors import InputError
 from isolab.newton import np_from_pairs
+
+
+# Over F_{31^3}, euler_phi(31^3 - 1) = 7920 guard digits per base-31 digit
+# of the weight put the working precision near 32,000.
+F_31_CUBED = json.dumps({"p": 31, "m": 3, "vcap": 2, "terms": [{"v": 0, "f": 1, "c": "3"}, {"v": 1, "f": 0, "c": "g+1"}]})
+# F^(10^11) needs over 10^11 digits; 2^(10^11) must never be formed
+HUGE_F_EXPONENT = json.dumps({"p": 2, "m": 1, "vcap": 2, "terms": [{"v": 0, "f": 10**11, "c": "1"}]})
 
 
 def run_cli(*argv, stdin=None, timeout=120):
@@ -234,6 +241,10 @@ class TestExitCodes:
             (["np", "dim", "--pairs", "99999999999*(1,0)"], MAX_POLYGON_HEIGHT),
             (["np", "dim", "--pairs", "99999999999*(0,0)"], MAX_POLYGON_HEIGHT),
             (["dieudonne", "gmn", "--m", "1", "--n", "400", "--p", "2"], MAX_PRECISION),
+            (["np", "dim", "--json", '{"pairs":[[99999999,1]]}'], MAX_POLYGON_HEIGHT),
+            (["np", "dual", "--json", '{"pairs":[[1,99999999]]}'], MAX_POLYGON_HEIGHT),
+            (["cartier", "mul", "--x", F_31_CUBED, "--y", F_31_CUBED], MAX_WORKING_PRECISION),
+            (["cartier", "mul", "--x", HUGE_F_EXPONENT, "--y", HUGE_F_EXPONENT], MAX_WORKING_PRECISION),
         ],
     )
     def test_size_over_its_cap_is_2(self, argv, cap):
@@ -254,11 +265,29 @@ class TestExitCodes:
         assert main(gmn + [str(MAX_PRECISION - 2)]) == 2
         assert "cap of %d" % MAX_PRECISION in capsys.readouterr().err
         assert parse_polygon("%d*(1,0)" % MAX_POLYGON_HEIGHT).h == MAX_POLYGON_HEIGHT
+        assert main(["np", "dim", "--json", json.dumps({"pairs": [[MAX_POLYGON_HEIGHT - 1, 1]]})]) == 0
+        assert main(["np", "dim", "--json", json.dumps({"pairs": [[MAX_POLYGON_HEIGHT, 1]]})]) == 2
+        assert "cap of %d" % MAX_POLYGON_HEIGHT in capsys.readouterr().err
         with pytest.raises(InputError):
             parse_polygon("%d*(1,1)+(0,1)" % (MAX_POLYGON_HEIGHT // 2))
         assert len(artin_hasse(2, MAX_ARTIN_HASSE_DEGREE)) == MAX_ARTIN_HASSE_DEGREE + 1
         with pytest.raises(InputError):
             artin_hasse(2, MAX_ARTIN_HASSE_DEGREE + 1)
+
+    def test_cartier_working_precision_cap_is_inclusive(self, capsys):
+        # the element 1 at V-cap A is normalized at precision A + 2 + phi*(A + 1)
+        # guard digits, phi = euler_phi(p^m - 1): 3A + 4 over F_4, 2A + 3 over F_2
+        def one(p, m, vcap):
+            return json.dumps({"p": p, "m": m, "vcap": vcap, "terms": [{"v": 0, "f": 0, "c": "1"}]})
+
+        at_cap = one(2, 2, (MAX_WORKING_PRECISION - 4) // 3)
+        assert 3 * ((MAX_WORKING_PRECISION - 4) // 3) + 4 == MAX_WORKING_PRECISION
+        assert main(["cartier", "mul", "--x", at_cap, "--y", at_cap]) == 0
+        assert capsys.readouterr().out == "Cartier(<1>)\n"
+        over_cap = one(2, 1, (MAX_WORKING_PRECISION - 2) // 2)
+        assert 2 * ((MAX_WORKING_PRECISION - 2) // 2) + 3 == MAX_WORKING_PRECISION + 1
+        assert main(["cartier", "mul", "--x", over_cap, "--y", over_cap]) == 2
+        assert "precision %d exceeds the cap of %d" % (MAX_WORKING_PRECISION + 1, MAX_WORKING_PRECISION) in capsys.readouterr().err
 
     def test_precision_error_is_3(self):
         payload = json.dumps({"p": 2, "m": 1, "N": 4, "h": 2, "F": [["16", "0"], ["0", "1"]]})
@@ -482,7 +511,36 @@ PINNED = [
 ]
 
 
-@pytest.mark.parametrize("argv, code, digest", PINNED, ids=[" ".join(argv[:4]) for argv, _, _ in PINNED])
+# The Frobenius lift sigma over F_{p^2}, F_{p^3} and F_{2^12}, pinned from
+# sigma computed by Horner evaluation at the powers sigma^k(x).
+SIGMA_PINNED = [
+    (['--format', 'text', 'witt', 'frobenius', '--p', '3', '--m', '2', '--N', '4', '--a', '1,2,0,1'], 0, '4b00dc12cedd2a651c697e59e5867e4e9d9d31e0e932af595d0d67e798cb3a09'),
+    (['--format', 'json', 'witt', 'frobenius', '--p', '3', '--m', '2', '--N', '4', '--a', '1,2,0,1'], 0, '367284ab11471379ff8d20d9d031ef7543f5d7d647f27f733719c544e1fb3a06'),
+    (['--format', 'text', 'witt', 'frobenius', '--p', '2', '--m', '3', '--N', '5', '--a', '1,1,0,1'], 0, '4fce1338502fc50e7b6daf38ae813af29e445db0ad0670a720414502a3d042d3'),
+    (['--format', 'json', 'witt', 'frobenius', '--p', '2', '--m', '3', '--N', '5', '--a', '1,1,0,1'], 0, '8f1a76b1b2c33d6a1d7f1df736cf49eed00ecffdbae1ad445439a2b0d5fdbf9b'),
+    (['--format', 'text', 'witt', 'add', '--p', '2', '--m', '2', '--N', '4', '--a', '1,1,1', '--b', '1,0,1,1'], 0, '31b18bd5b4d529fe270808cca4a3b00b7a00973c3a689d87a90ac9d6323b56bc'),
+    (['--format', 'json', 'witt', 'add', '--p', '2', '--m', '2', '--N', '4', '--a', '1,1,1', '--b', '1,0,1,1'], 0, '406d9adc74a4fd1545733802671789d9768bc69fab11c9f7200a26a01ce291c8'),
+    (['--format', 'text', 'witt', 'add', '--p', '3', '--m', '3', '--N', '3', '--a', '2,1', '--b', '2,2,2'], 0, 'ad4122fac89f63762cf5724a3ae2acf244cafa88282fbe825b0c08e59c1d150b'),
+    (['--format', 'json', 'witt', 'add', '--p', '3', '--m', '3', '--N', '3', '--a', '2,1', '--b', '2,2,2'], 0, '22f5c519bb995596c2beb8d7e9223c1aae415a074a53bb6add8601371494deb9'),
+    (['--format', 'text', 'witt', 'valuation', '--p', '2', '--m', '2', '--N', '5', '--a', '0,0,1'], 0, '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3'),
+    (['--format', 'json', 'witt', 'valuation', '--p', '2', '--m', '2', '--N', '5', '--a', '0,0,1'], 0, 'a994d7757fb01c59ca6fae141d6743d9dc67595fac1bb65a3c75c866e3de6781'),
+    (['--format', 'text', 'witt', 'valuation', '--p', '5', '--m', '3', '--N', '3', '--a', '0,3'], 0, '4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865'),
+    (['--format', 'json', 'witt', 'valuation', '--p', '5', '--m', '3', '--N', '3', '--a', '0,3'], 0, 'dee26121c5aa0843e5547ac70e01b255b4eec421ed5c06183c8a3f15180c703a'),
+    (['--format', 'text', 'cartier', 'act', '--x', '{"p": 3, "m": 2, "vcap": 3, "terms": [{"v": 0, "f": 1, "c": "g+2"}, {"v": 1, "f": 0, "c": "2*g"}, {"v": 2, "f": 1, "c": "g"}]}', '--w', '1,2,1', '--N', '4'], 0, '479313da85e0757ea93c70212dd8fffa3ad04d215e2e246e5dc8f77c2ebb668e'),
+    (['--format', 'json', 'cartier', 'act', '--x', '{"p": 3, "m": 2, "vcap": 3, "terms": [{"v": 0, "f": 1, "c": "g+2"}, {"v": 1, "f": 0, "c": "2*g"}, {"v": 2, "f": 1, "c": "g"}]}', '--w', '1,2,1', '--N', '4'], 0, 'f7dbf5af1c439135bc7522c887f71ee8f43626df67803d8c245e60ba2952ddda'),
+    (['--format', 'text', 'cartier', 'act', '--x', '{"p": 2, "m": 3, "vcap": 4, "terms": [{"v": 0, "f": 2, "c": "g^2+1"}, {"v": 1, "f": 0, "c": "g"}, {"v": 2, "f": 3, "c": "g^2+g"}]}', '--w', '1,0,1,1', '--N', '5'], 0, 'ee32f0ac72c98ccf211cb67e5173d4f159f8b9c7640500826ca57f6611447a8f'),
+    (['--format', 'json', 'cartier', 'act', '--x', '{"p": 2, "m": 3, "vcap": 4, "terms": [{"v": 0, "f": 2, "c": "g^2+1"}, {"v": 1, "f": 0, "c": "g"}, {"v": 2, "f": 3, "c": "g^2+g"}]}', '--w', '1,0,1,1', '--N', '5'], 0, '7c5948440c239e851e0bdcb85d238fb0afb84c599ef43096b45b1474bc180a98'),
+    (['--format', 'text', 'witt', 'frobenius', '--p', '2', '--m', '12', '--N', '4', '--a', '1,0,1'], 0, 'ad93a3b35cdbfb1455952939917a9b30a4719921880c01950e7c01e68ab77dea'),
+    (['--format', 'json', 'witt', 'frobenius', '--p', '2', '--m', '12', '--N', '4', '--a', '1,0,1'], 0, '94eef4ddd1da888e75b1b3a3c05180b9d0df6ac1d82b5a18b374554662b5c644'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    PINNED + SIGMA_PINNED,
+    ids=[" ".join(argv[:4]) for argv, _, _ in PINNED]
+    + ["sigma %d: %s" % (i, " ".join(argv[:4])) for i, (argv, _, _) in enumerate(SIGMA_PINNED)],
+)
 def test_pinned_request(capsys, monkeypatch, argv, code, digest):
     monkeypatch.delenv("ISOLAB_PRECISION", raising=False)
     assert code in (0, 2, 64)
