@@ -42,7 +42,16 @@ from .newton import (
     p_rank,
     render_pairs,
 )
-from .poset import dot_export, longest_chain, poset_build, poset_to_json, specialization_witness
+from .poset import (
+    check_endpoints,
+    dot_export,
+    isoclinic_polygon,
+    longest_chain,
+    ordinary_polygon,
+    poset_build,
+    poset_to_json,
+    specialization_witness,
+)
 from .semimodule import sm_dual, sm_enumerate, sm_from_jumps, sm_normalize
 from .weil import honda_tate, weil_from_real_trace, weil_verify
 from .witt import WittContext, ghost_components
@@ -387,12 +396,11 @@ def _poset_build(args):
 
 
 def _poset_endpoints(args):
-    """The poset and the --from/--to polygons; "iso" and "ord" name its
-    bottom and top."""
-    poset = _poset(args)
-    named = {"iso": poset.bottom, "ord": poset.top}
-    frm, to = (named[t]() if t in named else parse_polygon(t) for t in (args.frm, args.to))
-    return poset, frm, to
+    """The --from/--to polygons, once (h, d) passes the poset's checks;
+    "iso" and "ord" name the bottom and top of its poset."""
+    check_endpoints(args.h, args.d, args.symmetric)
+    named = {"iso": isoclinic_polygon, "ord": ordinary_polygon}
+    return [named[t](args.h, args.d) if t in named else parse_polygon(t) for t in (args.frm, args.to)]
 
 
 def _emit_chain(args, chain):
@@ -405,12 +413,12 @@ def _emit_chain(args, chain):
 
 
 def _poset_chain(args):
-    _emit_chain(args, longest_chain(*_poset_endpoints(args)))
+    frm, to = _poset_endpoints(args)
+    _emit_chain(args, longest_chain(_poset(args), frm, to))
 
 
 def _poset_witness(args):
-    _, frm, to = _poset_endpoints(args)
-    _emit_chain(args, specialization_witness(frm, to))
+    _emit_chain(args, specialization_witness(*_poset_endpoints(args)))
 
 
 # The one table of actions, read by the parsers' choices, the missing-flag

@@ -3,13 +3,14 @@
 A Newton polygon here is the lower-convex lattice polygon running from
 (0,0) to (h,d) with all slopes in [0,1], encoded by its slope multiset.
 It is the basic invariant everything else in this package produces or
-consumes.  All arithmetic is over `fractions.Fraction`; there is no
+consumes.  Slopes are `fractions.Fraction`s; comparison and the lattice
+regions run on each polygon's integer height vector.  There is no
 floating point in this module.
 """
 
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from ._arith import require_prime, vp
 from .errors import InputError
@@ -77,7 +78,7 @@ class NewtonPolygon:
     are integral, so breakpoints land on lattice points.
     """
 
-    __slots__ = ("runs", "h", "d")
+    __slots__ = ("runs", "h", "d", "_heights")
 
     def __init__(self, runs):
         runs = tuple((Fraction(s), int(k)) for s, k in runs)
@@ -97,6 +98,7 @@ class NewtonPolygon:
         self.runs = runs
         self.h = sum(k for _, k in runs)
         self.d = int(sum(s * k for s, k in runs))
+        self._heights = None
 
     @property
     def c(self):
@@ -131,6 +133,19 @@ class NewtonPolygon:
             y += s * k
             pos += k
         return y
+
+    def heights(self):
+        """Integer height vector (L, ys), computed once: ys[x] = L*value(x)
+        for x = 0..h, with L the lcm of the slope denominators."""
+        if self._heights is None:
+            L = lcm(*(s.denominator for s, _ in self.runs))
+            ys = [0]
+            for s, k in self.runs:
+                step = s.numerator * (L // s.denominator)
+                for _ in range(k):
+                    ys.append(ys[-1] + step)
+            self._heights = (L, ys)
+        return self._heights
 
     def pairs(self):
         """Coprime-pair decomposition, sorted by descending slope.
@@ -227,16 +242,18 @@ def np_compare(a, b):
     A_BELOW_B means no point of `a` is strictly above `b` (so a != b and
     a succeeds b in the specialization order: a's stratum is the larger one).
     Checking at integer abscissas suffices because every breakpoint of
-    either polygon has integer x.
+    either polygon has integer x; there a's height ya[x]/La is compared
+    with b's yb[x]/Lb by cross-multiplying.
     """
     if (a.h, a.d) != (b.h, b.d):
         return Comparison.DIFFERENT_ENDPOINTS
+    (La, ya), (Lb, yb) = a.heights(), b.heights()
     below = above = False
-    for x in range(a.h + 1):
-        va, vb = a.value(x), b.value(x)
-        if va < vb:
+    for u, v in zip(ya, yb):
+        u, v = u * Lb, v * La
+        if u < v:
             below = True
-        elif va > vb:
+        elif u > v:
             above = True
     if not below and not above:
         return Comparison.EQUAL
@@ -257,11 +274,10 @@ def np_precedes(a, b, strict=False):
 
 def np_diamond(np):
     """Lattice points (x,y) with y < d, y < x, lying on or above the polygon."""
+    L, ys = np.heights()
     pts = set()
     for x in range(1, np.h + 1):
-        v = np.value(x)
-        ymin = v if v.denominator == 1 else int(v) + 1
-        for y in range(int(ymin), min(np.d, x)):
+        for y in range(-(-ys[x] // L), min(np.d, x)):
             pts.add((x, y))
     return pts
 

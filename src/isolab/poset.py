@@ -3,13 +3,16 @@
 Elements are enumerated by breakpoint lattice paths (strictly increasing
 segment slopes in [0,1], integral breakpoints); the order is the exact
 pointwise comparison, with the isoclinic polygon at the bottom and the
-ordinary polygon on top.  Covers are the transitive reduction; the poset
-is ranked (checked, not assumed) and the rank offsets reproduce the
+ordinary polygon on top.  Each element's strict up-set is a Python-int
+bitset, read off the polygons' integer height vectors; covers are the
+transitive reduction (Aho, Garey and Ullman, SIAM J. Comput. 1972).  The
+poset is ranked (checked, not assumed) and the rank offsets reproduce the
 lattice-point dimension formulas.
 """
 
 from fractions import Fraction
-from math import gcd
+from itertools import groupby
+from math import gcd, lcm
 
 from .errors import InputError
 from .newton import (
@@ -20,67 +23,127 @@ from .newton import (
 )
 
 __all__ = [
+    "MAX_POSET_HEIGHT",
     "NPPoset",
     "poset_build",
+    "check_endpoints",
     "enumerate_polygons",
+    "isoclinic_polygon",
+    "ordinary_polygon",
     "longest_chain",
     "specialization_witness",
     "dot_export",
 ]
 
+# The number of polygons grows exponentially with h.  On a 2-vCPU Xeon a
+# CLI call at (18, 9), 1,882 elements, takes about 1 s; (20, 10), 3,959
+# elements, takes 2.5 s and (22, 11) 14 s.
+MAX_POSET_HEIGHT = 18
 
-def enumerate_polygons(h, d, symmetric=False):
-    """All Newton polygons from (0,0) to (h,d), by breakpoint recursion."""
+
+def check_endpoints(h, d, symmetric=False):
+    """Refuse endpoints (h,d) that name no poset, or too large a one."""
     if not (0 <= d <= h):
         raise InputError("need 0 <= d <= h")
     if symmetric and h != 2 * d:
         raise InputError("symmetric flag needs h = 2d")
+    if h == 0:
+        raise InputError("height must be positive")
+    if h > MAX_POSET_HEIGHT:
+        raise InputError("poset height %d exceeds the cap of %d" % (h, MAX_POSET_HEIGHT))
+
+
+def enumerate_polygons(h, d, symmetric=False):
+    """All Newton polygons from (0,0) to (h,d), by breakpoint recursion."""
+    check_endpoints(h, d, symmetric)
     out = []
 
-    def extend(x, y, last_slope, runs):
+    def extend(x, y, runs):
+        # runs holds (rise, span) pairs; slopes compare by cross-multiplying
         if x == h:
             if y == d:
-                out.append(NewtonPolygon(runs))
+                out.append(NewtonPolygon([(Fraction(rise, span), span) for rise, span in runs]))
             return
         for x2 in range(x + 1, h + 1):
             span = x2 - x
-            for y2 in range(y, d + 1):
+            for y2 in range(y, min(d, y + span) + 1):
                 rise = y2 - y
-                slope = Fraction(rise, span)
                 # strict increase keeps breakpoints genuine: a polygon with
                 # a long constant-slope stretch is produced in one step only
-                if slope > 1 or (last_slope is not None and slope <= last_slope):
+                if runs and rise * runs[-1][1] <= runs[-1][0] * span:
                     continue
-                extend(x2, y2, slope, runs + [(slope, span)])
+                extend(x2, y2, runs + [(rise, span)])
 
-    if h == 0:
-        raise InputError("height must be positive")
-    extend(0, 0, None, [])
+    extend(0, 0, [])
     polys = [z for z in out if not symmetric or z.is_symmetric()]
     return sorted(polys, key=lambda z: z.slopes())
 
 
+def isoclinic_polygon(h, d):
+    """The isoclinic polygon (straight line) from (0,0) to (h,d)."""
+    g = gcd(h, d)
+    m, n = d // g, (h - d) // g
+    return np_from_pairs([(m, n)] * g)
+
+
+def ordinary_polygon(h, d):
+    """The ordinary polygon d*(1,0) + (h-d)*(0,1)."""
+    return np_from_pairs([(1, 0)] * d + [(0, 1)] * (h - d))
+
+
+def _bits(mask):
+    """Indices of the set bits of `mask`, increasing."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _up_sets(polygons):
+    """Bit j of up[i] is set when polygon i lies on or above polygon j at
+    every abscissa and i != j (for distinct polygons: i < j).
+
+    The height vectors are brought to one denominator; then, abscissa by
+    abscissa, each polygon keeps only the polygons at most as high there.
+    """
+    n = len(polygons)
+    L = lcm(*(z.heights()[0] for z in polygons))
+    columns = zip(*([y * (L // Lz) for y in ys] for Lz, ys in (z.heights() for z in polygons)))
+    up = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
+    for col in columns:
+        lower = 0
+        for _, group in groupby(sorted(range(n), key=col.__getitem__), key=col.__getitem__):
+            group = list(group)
+            for i in group:
+                lower |= 1 << i
+            for i in group:
+                up[i] &= lower
+    return up
+
+
 class NPPoset:
     """Poset of all polygons with endpoints (h,d); optionally the
-    symmetric sub-poset.  `covers[i]` lists indices covering element i."""
+    symmetric sub-poset.  `covers[i]` lists, increasing, the indices
+    covering element i."""
 
     def __init__(self, h, d, symmetric=False):
         self.h, self.d, self.symmetric = h, d, symmetric
         self.elements = enumerate_polygons(h, d, symmetric)
-        n = len(self.elements)
-        less = [[False] * n for _ in range(n)]
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                if i != j and np_precedes(a, b, strict=True):
-                    less[i][j] = True
-        self._less = less
-        covers = [[] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if less[i][j] and not any(less[i][k] and less[k][j] for k in range(n)):
-                    covers[i].append(j)
+        self._index = {z: i for i, z in enumerate(self.elements)}
+        self._up = up = _up_sets(self.elements)
+        # j covers i when nothing above i lies below j
+        covers = []
+        for mask in up:
+            above = 0
+            for k in _bits(mask):
+                above |= up[k]
+            covers.append(list(_bits(mask & ~above)))
         self.covers = covers
         self.ranks = self._compute_ranks()
+
+    def less(self, i, j):
+        """Element i strictly precedes element j."""
+        return bool(self._up[i] >> j & 1)
 
     def _compute_ranks(self):
         n = len(self.elements)
@@ -112,20 +175,18 @@ class NPPoset:
         )
 
     def index_of(self, np):
-        for i, z in enumerate(self.elements):
-            if z == np:
-                return i
-        raise InputError("polygon %s not in this poset" % render_pairs(np.pairs()))
+        i = self._index.get(np)
+        if i is None:
+            raise InputError("polygon %s not in this poset" % render_pairs(np.pairs()))
+        return i
 
     def bottom(self):
-        """The isoclinic polygon (straight line), the unique minimum."""
-        g = gcd(self.h, self.d)
-        m, n = self.d // g, (self.h - self.d) // g
-        return np_from_pairs([(m, n)] * g)
+        """The isoclinic polygon, the unique minimum."""
+        return isoclinic_polygon(self.h, self.d)
 
     def top(self):
-        """The ordinary polygon d*(1,0) + c*(0,1), the unique maximum."""
-        return np_from_pairs([(1, 0)] * self.d + [(0, 1)] * (self.h - self.d))
+        """The ordinary polygon, the unique maximum."""
+        return ordinary_polygon(self.h, self.d)
 
 
 def poset_build(h, d, symmetric=False):
@@ -138,7 +199,7 @@ def longest_chain(poset, frm, to):
     i, j = poset.index_of(frm), poset.index_of(to)
     if i == j:
         return [poset.elements[i]]
-    if not poset._less[i][j]:
+    if not poset.less(i, j):
         raise InputError("endpoints are incomparable (or given in the wrong order)")
     # longest path in the cover DAG restricted to the interval [frm, to]
     best = {i: [i]}
@@ -147,7 +208,7 @@ def longest_chain(poset, frm, to):
         if k not in best:
             continue
         for nxt in poset.covers[k]:
-            if nxt == j or poset._less[nxt][j]:
+            if nxt == j or poset.less(nxt, j):
                 cand = best[k] + [nxt]
                 if nxt not in best or len(cand) > len(best[nxt]):
                     best[nxt] = cand

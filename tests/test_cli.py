@@ -11,6 +11,7 @@ from isolab.cartier import MAX_ARTIN_HASSE_DEGREE, MAX_WORKING_PRECISION, artin_
 from isolab.cli import MAX_POLYGON_HEIGHT, MAX_PRECISION, main, parse_polygon
 from isolab.errors import InputError
 from isolab.newton import np_from_pairs
+from isolab.poset import MAX_POSET_HEIGHT
 
 
 # Over F_{31^3}, euler_phi(31^3 - 1) = 7920 guard digits per base-31 digit
@@ -245,6 +246,7 @@ class TestExitCodes:
             (["np", "dual", "--json", '{"pairs":[[1,99999999]]}'], MAX_POLYGON_HEIGHT),
             (["cartier", "mul", "--x", F_31_CUBED, "--y", F_31_CUBED], MAX_WORKING_PRECISION),
             (["cartier", "mul", "--x", HUGE_F_EXPONENT, "--y", HUGE_F_EXPONENT], MAX_WORKING_PRECISION),
+            (["poset", "build", "--h", "30", "--d", "15"], MAX_POSET_HEIGHT),
         ],
     )
     def test_size_over_its_cap_is_2(self, argv, cap):
@@ -273,6 +275,12 @@ class TestExitCodes:
         assert len(artin_hasse(2, MAX_ARTIN_HASSE_DEGREE)) == MAX_ARTIN_HASSE_DEGREE + 1
         with pytest.raises(InputError):
             artin_hasse(2, MAX_ARTIN_HASSE_DEGREE + 1)
+        capsys.readouterr()
+        # (h, 1) has h elements
+        assert main(["poset", "build", "--h", str(MAX_POSET_HEIGHT), "--d", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == MAX_POSET_HEIGHT
+        assert main(["poset", "build", "--h", str(MAX_POSET_HEIGHT + 1), "--d", "1"]) == 2
+        assert "cap of %d" % MAX_POSET_HEIGHT in capsys.readouterr().err
 
     def test_cartier_working_precision_cap_is_inclusive(self, capsys):
         # the element 1 at V-cap A is normalized at precision A + 2 + phi*(A + 1)

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from isolab.errors import InputError
-from isolab.newton import np_dim, np_dual, np_from_pairs, np_precedes, np_sdim, render_pairs
+from isolab.newton import Comparison, np_compare, np_dim, np_dual, np_from_pairs, np_precedes, np_sdim, render_pairs
 from isolab.poset import (
     dot_export,
     enumerate_polygons,
@@ -15,6 +15,58 @@ from isolab.poset import (
     poset_to_json,
     specialization_witness,
 )
+
+
+def oracle_elements(h, d, symmetric):
+    polys = [z for z in oracle_enumerate(h, d) if not symmetric or z.is_symmetric()]
+    return sorted(polys, key=lambda z: z.slopes())
+
+
+def oracle_compare(a, b):
+    """Pointwise comparison by `Fraction` heights at the integer abscissas."""
+    if (a.h, a.d) != (b.h, b.d):
+        return Comparison.DIFFERENT_ENDPOINTS
+    below = above = False
+    for x in range(a.h + 1):
+        va, vb = a.value(x), b.value(x)
+        if va < vb:
+            below = True
+        elif va > vb:
+            above = True
+    if not below and not above:
+        return Comparison.EQUAL
+    if not above:
+        return Comparison.A_BELOW_B
+    if not below:
+        return Comparison.A_ABOVE_B
+    return Comparison.INCOMPARABLE
+
+
+def oracle_order_and_covers(elements):
+    """Strict order by `Fraction` heights at the integer abscissas (a < b:
+    a on or above b, a != b), covers by the triple loop."""
+    n = len(elements)
+    rows = [[z.value(x) for x in range(z.h + 1)] for z in elements]
+    less = [[ra != rb and all(u >= v for u, v in zip(ra, rb)) for rb in rows] for ra in rows]
+    covers = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if less[i][j] and not any(less[i][k] and less[k][j] for k in range(n)):
+                covers[i].append(j)
+    return less, covers
+
+
+def oracle_ranks(covers):
+    """Longest path from a minimal element, by relaxing until nothing moves."""
+    ranks = [0] * len(covers)
+    moved = True
+    while moved:
+        moved = False
+        for i, above in enumerate(covers):
+            for j in above:
+                if ranks[j] < ranks[i] + 1:
+                    ranks[j], moved = ranks[i] + 1, True
+    return ranks
 
 
 def oracle_enumerate(h, d):
@@ -143,13 +195,13 @@ class TestPosetStructure:
                 return [[i]]
             out = []
             for k in P.covers[i]:
-                if k == j or P._less[k][j]:
+                if k == j or P.less(k, j):
                     out.extend([[i] + c for c in chains(k, j)])
             return out
 
         for i in range(n):
             for j in range(n):
-                if P._less[i][j]:
+                if P.less(i, j):
                     lengths = {len(c) for c in chains(i, j)}
                     assert len(lengths) == 1
 
@@ -168,6 +220,29 @@ class TestPosetStructure:
         xi2 = np_from_pairs([(2, 1), (1, 2)])
         assert np_precedes(sigma, xi2, strict=True)
         assert {render_pairs(z.pairs()) for z in P.elements} >= {"3*(1,1)", "(2,1)+(1,2)"}
+
+
+class TestOracles:
+    @pytest.mark.parametrize(
+        "h, d, symmetric",
+        [(h, d, False) for h in range(1, 11) for d in range(h + 1)] + [(2 * g, g, True) for g in range(1, 6)],
+    )
+    def test_order_covers_ranks_match_oracle(self, h, d, symmetric):
+        P = poset_build(h, d, symmetric)
+        assert P.elements == oracle_elements(h, d, symmetric)
+        less, covers = oracle_order_and_covers(P.elements)
+        n = len(P.elements)
+        assert [[P.less(i, j) for j in range(n)] for i in range(n)] == less
+        assert P.covers == covers
+        assert P.ranks == oracle_ranks(covers)
+
+    @pytest.mark.parametrize("h", range(1, 8))
+    def test_compare_matches_oracle(self, h):
+        polys = [z for d in range(h + 1) for z in enumerate_polygons(h, d)]
+        polys.append(np_from_pairs([(1, 0)] * (h + 1)))  # another height
+        for a in polys:
+            for b in polys:
+                assert np_compare(a, b) is oracle_compare(a, b)
 
 
 class TestChains:
@@ -195,7 +270,7 @@ class TestChains:
         P = poset_build(6, 3)
         for i, a in enumerate(P.elements):
             for j, b in enumerate(P.elements):
-                if P._less[i][j]:
+                if P.less(i, j):
                     chain = longest_chain(P, a, b)
                     assert len(chain) - 1 == P.ranks[j] - P.ranks[i]
 
