@@ -159,8 +159,7 @@ def _emit_coordinates(args, w):
 
 def _emit_slopes(args, vp, **extra):
     slopes = [str(s) for s in vp.slopes()]
-    vertices = [[int(x), int(y)] for x, y in vp.vertices]
-    _emit(args, " ".join(slopes), {"slopes": slopes, "vertices": vertices, **extra})
+    _emit(args, " ".join(slopes), {"slopes": slopes, "vertices": [list(v) for v in vp.vertices], **extra})
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +576,7 @@ def main(argv=None):
     except PrecisionError as ex:
         print("precision error: %s" % ex, file=sys.stderr)
         return 3
-    except (IsolabError, ValueError, KeyError, OSError, json.JSONDecodeError) as ex:
+    except (IsolabError, ValueError, KeyError, TypeError, ZeroDivisionError, OSError, json.JSONDecodeError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2
 

@@ -1,15 +1,17 @@
-"""Newton polygons over exact rationals.
+"""Newton polygons as integer vertex paths.
 
 A Newton polygon here is the lower-convex lattice polygon running from
-(0,0) to (h,d) with all slopes in [0,1], encoded by its slope multiset.
-It is the basic invariant everything else in this package produces or
-consumes.  Slopes are `fractions.Fraction`s; comparison and the lattice
-regions run on each polygon's integer height vector.  There is no
-floating point in this module.
+(0,0) to (h,d) with all slopes in [0,1], stored as its integer vertex
+path; parsers, duals, hulls and the poset enumeration all hand over
+vertices.  It is the basic invariant everything else in this package
+produces or consumes.  `fractions.Fraction` appears only where slopes are
+parsed or returned for printing, and there is no floating point.
 """
 
 from enum import Enum
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import groupby
 from math import gcd, lcm
 
 from ._arith import require_prime, vp
@@ -70,34 +72,42 @@ def lower_convex_hull(points):
     return hull
 
 
-class NewtonPolygon:
-    """Immutable Newton polygon, identified by its slope multiset.
+def _segments(vertices):
+    """(rise, span) of each edge of a vertex path."""
+    return [(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(vertices, vertices[1:])]
 
-    `runs` is the canonical decomposition: a tuple of (slope, span) pairs
-    with strictly increasing slopes in [0,1] and integer spans whose rises
-    are integral, so breakpoints land on lattice points.
+
+def _slopes(vertices):
+    """Slope of each unit x-step along a vertex path, with multiplicity."""
+    return [s for rise, span in _segments(vertices) for s in [Fraction(rise, span)] * span]
+
+
+class NewtonPolygon:
+    """Immutable Newton polygon, identified by its integer vertex path.
+
+    `vertices` runs from (0,0) to (h,d) through the breakpoints: every
+    span is positive, every rise lies in 0..span, and the slopes rise/span
+    strictly increase (checked by cross-multiplying), so each vertex is a
+    genuine corner.  Everything else is read off the path.
     """
 
-    __slots__ = ("runs", "h", "d", "_heights")
+    __slots__ = ("vertices", "h", "d", "_heights")
 
-    def __init__(self, runs):
-        runs = tuple((Fraction(s), int(k)) for s, k in runs)
-        if not runs:
-            raise InputError("empty Newton polygon")
+    def __init__(self, vertices):
+        vertices = tuple(map(tuple, vertices))
+        if len(vertices) < 2 or vertices[0] != (0, 0):
+            raise InputError("a Newton polygon's vertex path runs from (0,0) to (h,d), h > 0")
         last = None
-        for s, k in runs:
-            if not (0 <= s <= 1):
-                raise InputError("slope %s outside [0,1]" % s)
-            if k <= 0:
+        for rise, span in _segments(vertices):
+            if span <= 0:
                 raise InputError("non-positive slope multiplicity")
-            if (s * k).denominator != 1:
-                raise InputError("segment of slope %s and span %d misses the lattice" % (s, k))
-            if last is not None and s <= last:
+            if not 0 <= rise <= span:
+                raise InputError("slope %s outside [0,1]" % Fraction(rise, span))
+            if last is not None and rise * last[1] <= last[0] * span:
                 raise InputError("slopes must strictly increase across segments")
-            last = s
-        self.runs = runs
-        self.h = sum(k for _, k in runs)
-        self.d = int(sum(s * k for s, k in runs))
+            last = rise, span
+        self.vertices = vertices
+        self.h, self.d = vertices[-1]
         self._heights = None
 
     @property
@@ -106,43 +116,30 @@ class NewtonPolygon:
 
     def slopes(self):
         """Non-decreasing list of all h slopes, with multiplicity."""
-        out = []
-        for s, k in self.runs:
-            out.extend([s] * k)
-        return out
+        return _slopes(self.vertices)
 
     def breakpoints(self):
-        pts = [(0, 0)]
-        x, y = 0, Fraction(0)
-        for s, k in self.runs:
-            x += k
-            y += s * k
-            pts.append((x, int(y)))
-        return pts
+        return list(self.vertices)
 
     def value(self, x):
         """Exact height of the polygon above abscissa x, 0 <= x <= h."""
         x = Fraction(x)
         if not (0 <= x <= self.h):
             raise InputError("abscissa %s outside [0, %d]" % (x, self.h))
-        y = Fraction(0)
-        pos = Fraction(0)
-        for s, k in self.runs:
-            if x <= pos + k:
-                return y + s * (x - pos)
-            y += s * k
-            pos += k
-        return y
+        for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:]):
+            if x <= x2:
+                return y1 + Fraction(y2 - y1, x2 - x1) * (x - x1)
 
     def heights(self):
         """Integer height vector (L, ys), computed once: ys[x] = L*value(x)
         for x = 0..h, with L the lcm of the slope denominators."""
         if self._heights is None:
-            L = lcm(*(s.denominator for s, _ in self.runs))
+            segments = _segments(self.vertices)
+            L = lcm(*(span // gcd(rise, span) for rise, span in segments))
             ys = [0]
-            for s, k in self.runs:
-                step = s.numerator * (L // s.denominator)
-                for _ in range(k):
+            for rise, span in segments:
+                step = rise * L // span
+                for _ in range(span):
                     ys.append(ys[-1] + step)
             self._heights = (L, ys)
         return self._heights
@@ -150,26 +147,27 @@ class NewtonPolygon:
     def pairs(self):
         """Coprime-pair decomposition, sorted by descending slope.
 
-        A run of slope a/b over span k*b contributes k copies of the pair
-        (a, b-a).
+        An edge of rise g*a over span g*b (a, b coprime) contributes g
+        copies of the pair (a, b-a).
         """
         out = []
-        for s, k in sorted(self.runs, key=lambda r: (-r[0],)):
-            m, b = s.numerator, s.denominator
-            out.extend([(m, b - m)] * (k // b))
+        for rise, span in reversed(_segments(self.vertices)):
+            g = gcd(rise, span)
+            out.extend([(rise // g, (span - rise) // g)] * g)
         return out
 
     def p_rank(self):
-        return self.runs[0][1] if self.runs[0][0] == 0 else 0
+        x, y = self.vertices[1]
+        return x if y == 0 else 0
 
     def is_symmetric(self):
-        return np_dual(self).runs == self.runs
+        return np_dual(self) == self
 
     def __eq__(self, other):
-        return isinstance(other, NewtonPolygon) and self.runs == other.runs
+        return isinstance(other, NewtonPolygon) and self.vertices == other.vertices
 
     def __hash__(self):
-        return hash(self.runs)
+        return hash(self.vertices)
 
     def __repr__(self):
         return "NewtonPolygon(%s)" % render_pairs(self.pairs())
@@ -193,6 +191,16 @@ def render_pairs(pairs):
     return "+".join(parts)
 
 
+def _from_segments(segments):
+    """The polygon through (rise, span) edges of distinct slopes, given in
+    any order: they are laid end to end by increasing slope."""
+    vertices = [(0, 0)]
+    for rise, span in sorted(segments, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])):
+        x, y = vertices[-1]
+        vertices.append((x + span, y + rise))
+    return NewtonPolygon(vertices)
+
+
 def np_from_pairs(pairs):
     """Polygon with slope m/(m+n), multiplicity m+n, for each pair (m,n).
 
@@ -208,9 +216,8 @@ def np_from_pairs(pairs):
             raise InputError("invalid pair (%d,%d)" % (m, n))
         if gcd(m, n) != 1:
             raise InputError("pair (%d,%d) is not coprime" % (m, n))
-        s = Fraction(m, m + n)
-        counts[s] = counts.get(s, 0) + m + n
-    return NewtonPolygon(sorted(counts.items()))
+        counts[m, n] = counts.get((m, n), 0) + 1
+    return _from_segments((k * m, k * (m + n)) for (m, n), k in counts.items())
 
 
 def np_from_slopes(slopes):
@@ -218,18 +225,21 @@ def np_from_slopes(slopes):
     slopes = sorted(Fraction(s) for s in slopes)
     if not slopes:
         raise InputError("empty slope list")
-    runs = []
-    for s in slopes:
-        if runs and runs[-1][0] == s:
-            runs[-1][1] += 1
-        else:
-            runs.append([s, 1])
-    return NewtonPolygon(runs)
+    segments = []
+    for s, run in groupby(slopes):
+        k = len(list(run))
+        if not (0 <= s <= 1):
+            raise InputError("slope %s outside [0,1]" % s)
+        if (s * k).denominator != 1:
+            raise InputError("segment of slope %s and span %d misses the lattice" % (s, k))
+        segments.append((int(s * k), k))
+    return _from_segments(segments)
 
 
 def np_dual(np):
-    """Slope multiset {1 - beta}; an involution swapping d and h-d."""
-    return np_from_slopes([1 - s for s in np.slopes()])
+    """Slope multiset {1 - beta}, by reflecting each vertex (x, y) to
+    (h-x, h-x-d+y); an involution swapping d and h-d."""
+    return NewtonPolygon([(np.h - x, np.c - x + y) for x, y in reversed(np.vertices)])
 
 
 def np_is_symmetric(np):
@@ -328,23 +338,18 @@ class ValuationPolygon:
 
     def slopes(self):
         """Finite root valuations, one per unit x-span, non-decreasing."""
-        out = []
-        for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:]):
-            s = Fraction(y2 - y1, x2 - x1)
-            out.extend([s] * (x2 - x1))
-        return out
+        return _slopes(self.vertices)
 
     def scaled(self, denom):
         """Slope multiset divided by `denom` (e.g. v(q) normalization)."""
         return [s / denom for s in self.slopes()]
 
     def to_newton_polygon(self):
-        slopes = self.slopes()
         if self.infinite_multiplicity:
             raise InputError("polygon has infinite slopes")
-        if any(s < 0 or s > 1 for s in slopes):
+        if any(not 0 <= rise <= span for rise, span in _segments(self.vertices)):
             raise InputError("slopes leave [0,1]; not a group polygon")
-        return np_from_slopes(slopes)
+        return NewtonPolygon(self.vertices)
 
     def __eq__(self, other):
         return (
@@ -381,7 +386,7 @@ def np_of_polynomial(coefficients, p):
 def np_from_json(obj):
     """Accepts {"pairs": [[m,n],...]} or {"slopes": ["a/b",...]}."""
     if "pairs" in obj:
-        return np_from_pairs([tuple(p) for p in obj["pairs"]])
+        return np_from_pairs(obj["pairs"])
     if "slopes" in obj:
-        return np_from_slopes([Fraction(s) for s in obj["slopes"]])
+        return np_from_slopes(obj["slopes"])
     raise InputError("polygon JSON needs a 'pairs' or 'slopes' key")

@@ -1,18 +1,18 @@
 """The poset of Newton polygons with fixed endpoints.
 
-Elements are enumerated by breakpoint lattice paths (strictly increasing
-segment slopes in [0,1], integral breakpoints); the order is the exact
-pointwise comparison, with the isoclinic polygon at the bottom and the
-ordinary polygon on top.  Each element's strict up-set is a Python-int
-bitset, read off the polygons' integer height vectors; covers are the
-transitive reduction (Aho, Garey and Ullman, SIAM J. Comput. 1972).  The
-poset is ranked (checked, not assumed) and the rank offsets reproduce the
-lattice-point dimension formulas.
+Elements are enumerated as integer vertex paths (strictly increasing
+segment slopes in [0,1], integral breakpoints), the polygons' own format,
+with no `Fraction` anywhere; the order is the exact pointwise comparison,
+with the isoclinic polygon at the bottom and the ordinary polygon on top.
+Each element's strict up-set is a Python-int bitset, read off the
+polygons' integer height vectors; covers are the transitive reduction
+(Aho, Garey and Ullman, SIAM J. Comput. 1972).  The poset is ranked
+(checked, not assumed) and the rank offsets reproduce the lattice-point
+dimension formulas.
 """
 
-from fractions import Fraction
 from itertools import groupby
-from math import gcd, lcm
+from math import lcm
 
 from .errors import InputError
 from .newton import (
@@ -54,15 +54,17 @@ def check_endpoints(h, d, symmetric=False):
 
 
 def enumerate_polygons(h, d, symmetric=False):
-    """All Newton polygons from (0,0) to (h,d), by breakpoint recursion."""
+    """All Newton polygons from (0,0) to (h,d), by breakpoint recursion,
+    sorted by slope list."""
     check_endpoints(h, d, symmetric)
     out = []
 
-    def extend(x, y, runs):
-        # runs holds (rise, span) pairs; slopes compare by cross-multiplying
+    def extend(path, last_rise, last_span):
+        # slopes compare by cross-multiplying (rise, span) pairs
+        x, y = path[-1]
         if x == h:
             if y == d:
-                out.append(NewtonPolygon([(Fraction(rise, span), span) for rise, span in runs]))
+                out.append(NewtonPolygon(path))
             return
         for x2 in range(x + 1, h + 1):
             span = x2 - x
@@ -70,20 +72,21 @@ def enumerate_polygons(h, d, symmetric=False):
                 rise = y2 - y
                 # strict increase keeps breakpoints genuine: a polygon with
                 # a long constant-slope stretch is produced in one step only
-                if runs and rise * runs[-1][1] <= runs[-1][0] * span:
+                if rise * last_span <= last_rise * span:
                     continue
-                extend(x2, y2, runs + [(rise, span)])
+                extend(path + [(x2, y2)], rise, span)
 
-    extend(0, 0, [])
+    extend([(0, 0)], -1, 1)
     polys = [z for z in out if not symmetric or z.is_symmetric()]
-    return sorted(polys, key=lambda z: z.slopes())
+    # slope lists compare as the height vectors at one denominator: both
+    # are decided at the first unit step where the slopes differ
+    L = lcm(*range(1, h + 1))
+    return sorted(polys, key=lambda z: [y * (L // z.heights()[0]) for y in z.heights()[1]])
 
 
 def isoclinic_polygon(h, d):
     """The isoclinic polygon (straight line) from (0,0) to (h,d)."""
-    g = gcd(h, d)
-    m, n = d // g, (h - d) // g
-    return np_from_pairs([(m, n)] * g)
+    return NewtonPolygon([(0, 0), (h, d)])
 
 
 def ordinary_polygon(h, d):
@@ -146,22 +149,13 @@ class NPPoset:
         return bool(self._up[i] >> j & 1)
 
     def _compute_ranks(self):
-        n = len(self.elements)
-        indeg = [0] * n
-        for i in range(n):
-            for j in self.covers[i]:
-                indeg[j] += 1
-        order = [i for i in range(n) if indeg[i] == 0]
-        ranks = [0] * n
-        idx = 0
-        while idx < len(order):
-            i = order[idx]
-            idx += 1
+        """Longest cover paths up from the minimal elements.  A polygon on
+        or above another has the larger slope list and index, so one pass
+        over descending indices meets each element after all below it."""
+        ranks = [0] * len(self.elements)
+        for i in reversed(range(len(ranks))):
             for j in self.covers[i]:
                 ranks[j] = max(ranks[j], ranks[i] + 1)
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    order.append(j)
         return ranks
 
     def is_ranked(self):

@@ -8,11 +8,12 @@ the unique translate with that gap count; the dual is the complement
 A^t = Z \\ (2r-1-A), computed on the window [0, 2r).
 """
 
-from math import gcd
+from math import comb, gcd
 
 from .errors import InputError
 
 __all__ = [
+    "MAX_SEMIMODULES",
     "SemiModule",
     "sm_normalize",
     "sm_dual",
@@ -20,6 +21,11 @@ __all__ = [
     "sm_from_jumps",
     "sm_principal",
 ]
+
+# Each type prints its r heads, so the (2, n) family costs the most per
+# type.  On a 2-vCPU Xeon a CLI call at (2, 1999), 1,000 types, takes
+# 1.5 s and (2, 2999) 3.3 s; (8, 9), 1,430 types of 28 heads, takes 0.4 s.
+MAX_SEMIMODULES = 1000
 
 
 class SemiModule:
@@ -34,14 +40,14 @@ class SemiModule:
         self.m, self.n = m, n
         self.r = (m - 1) * (n - 1) // 2
         heads = tuple(sorted(int(h) for h in heads))
-        if len(heads) != self.r or len(set(heads)) != self.r:
+        members = set(heads)
+        if len(heads) != self.r or len(members) != self.r:
             raise InputError("expected exactly r = %d distinct heads" % self.r)
         if heads and (heads[0] < 0 or heads[-1] >= 2 * self.r):
             raise InputError("normalized heads live in [0, 2r)")
         self.heads = heads
-        for a in heads:
-            if not (self.contains(a + m) and self.contains(a + n)):
-                raise InputError("head set is not closed under +m, +n")
+        if any(b < 2 * self.r and b not in members for a in heads for b in (a + m, a + n)):
+            raise InputError("head set is not closed under +m, +n")
 
     def contains(self, x):
         return x >= 2 * self.r or x in self.heads
@@ -141,45 +147,46 @@ def sm_principal(m, n):
 
 
 def sm_enumerate(m, n):
-    """All normalized (m,n)-semimodules, via their gap sets.
+    """All normalized (m,n)-semimodules, sorted by head set.
 
-    A gap set is an r-subset of [0, 2r) closed downward under -m and -n;
-    the search walks positions from high to low, forcing g-m and g-n
-    whenever g is taken.
+    With M = min(m, n) and N = max(m, n), a type is fixed by the number k_i
+    of gaps in each residue class i mod M; it is closed under +N when
+    k_j <= k_i + (i + N) // M for j = (i + N) mod M, and has r gaps when
+    the k_i sum to r.  The classes are filled around the cycle i -> i + N,
+    each k only where the later classes can still take the gaps left, so
+    every branch ends in an output.
     """
-    if gcd(m, n) != 1:
-        raise InputError("m, n must be coprime")
+    if m < 1 or n < 1 or gcd(m, n) != 1:
+        raise InputError("m, n must be coprime positive integers")
     r = (m - 1) * (n - 1) // 2
-    out = []
     if r == 0:
         return [SemiModule(m, n, ())]
+    # the count (m+n-1)!/(m! n!) is at least (m+n-1)/2 once m, n >= 2
+    if m + n > 2 * MAX_SEMIMODULES + 1 or comb(m + n, m) // (m + n) > MAX_SEMIMODULES:
+        raise InputError("(%d,%d)-semimodules outnumber the cap of %d" % (m, n, MAX_SEMIMODULES))
+    M, N = min(m, n), max(m, n)
+    cycle = [t * N % M for t in range(M)]
+    step = [(i + N) // M for i in cycle]  # the most k may grow to the next class
+    out = []
 
-    def dfs(pos, chosen, required):
-        if len(chosen) == r:
-            if not required:
-                gapset = set(chosen)
-                heads = [x for x in range(2 * r) if x not in gapset]
-                out.append(SemiModule(m, n, heads))
+    def fill(ks, left, least):
+        t = len(ks)
+        if t == M:
+            gaps = {i + M * j for i, k in zip(cycle, ks) for j in range(k)}
+            out.append(SemiModule(m, n, [x for x in range(2 * r) if x not in gaps]))
             return
-        if pos < 0 or len(chosen) + pos + 1 < r:
-            return
-        if pos in required:
-            req = required - {pos}
-            for step in (m, n):
-                if pos - step >= 0:
-                    req = req | {pos - step}
-            dfs(pos - 1, chosen + [pos], req)
-            return
-        # include pos
-        req = set(required)
-        for step in (m, n):
-            if pos - step >= 0:
-                req.add(pos - step)
-        dfs(pos - 1, chosen + [pos], req)
-        # exclude pos
-        dfs(pos - 1, chosen, required)
+        for k in range(least[t], min(ks[-1] + step[t - 1], left) + 1):
+            most = sum(k + sum(step[t:u]) for u in range(t + 1, M))
+            if sum(least[t + 1 :]) <= left - k <= most:
+                fill(ks + [k], left - k, least)
 
-    dfs(2 * r - 1, [], set())
+    for k0 in range(r + 1):
+        # least[t]: the fewest gaps class cycle[t] can take and still let
+        # the cycle close back to k0
+        least = [0] * M + [k0]
+        for t in range(M - 1, 0, -1):
+            least[t] = max(0, least[t + 1] - step[t])
+        fill([k0], r - k0, least[:M])
     return sorted(out, key=lambda s: s.heads)
 
 

@@ -19,7 +19,7 @@ the lcm of the orders of the local invariants in Q/Z.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 from ._arith import (
     divisors,
@@ -38,7 +38,7 @@ from ._arith import (
     require_prime,
 )
 from .errors import InputError, PlaceResolutionError
-from .newton import np_of_polynomial
+from .newton import _segments, np_of_polynomial
 
 __all__ = [
     "WeilNumber",
@@ -362,6 +362,8 @@ def weil_from_real_trace(beta, p, n):
     """
     beta = int(beta)
     require_prime(p)
+    if n < 1:
+        raise InputError("n must be >= 1")
     q = p**n
     if beta * beta > 4 * q:
         raise InputError("beta^2 > 4q: trace too large for a Weil number")
@@ -373,29 +375,25 @@ def weil_from_real_trace(beta, p, n):
     return WeilNumber((1, -beta, q), p, n)
 
 
-def _certified_places(vertices, n):
-    """Split the p-adic hull into certified places.
+def _certified_places(vertices):
+    """Split the p-adic hull into certified places, as (rise, span) edges.
 
-    A hull segment of slope a/b (lowest terms) and x-span w is a single
-    place exactly when w == b; hiding several places with one slope behind
-    a longer segment is refused rather than guessed.
+    A hull edge whose slope rise/span is in lowest terms is a single
+    place; hiding several places with one slope behind a longer edge is
+    refused rather than guessed.
     """
-    places = []
-    for (x1, y1), (x2, y2) in zip(vertices, vertices[1:]):
-        span = x2 - x1
-        slope = Fraction(y2 - y1, span)
-        if slope.denominator != span:
+    places = _segments(vertices)
+    for rise, span in places:
+        if gcd(rise, span) != 1:
             raise PlaceResolutionError(
                 "place-resolution unsupported: hull segment of slope %s spans %d > %d"
-                % (slope, span, slope.denominator)
+                % (Fraction(rise, span), span, span // gcd(rise, span))
             )
-        places.append((span, slope / n))
     return places
 
 
 def honda_tate(w):
     """Honda-Tate invariants of a validated Weil number."""
-    asc = list(reversed(w.minpoly))
     e = w.e
     q = w.q
     if e == 1:
@@ -425,32 +423,27 @@ def honda_tate(w):
         )
     if e % 2 != 0:
         raise InputError("CM case needs even degree; input was not verified")
-    hull = np_of_polynomial(w.minpoly, w.p)
-    places = _certified_places(hull.vertices, w.n)
-    slopes = []
-    invariants = []
-    denoms = []
-    for idx, (span, t) in enumerate(places):
-        slopes.extend([t] * span)
-        inv = (t * span) % 1
-        invariants.append(("p|%d:deg=%d" % (idx, span), inv))
-        denoms.append(inv.denominator)
-    d = lcm(*denoms) if denoms else 1
+    places = _certified_places(np_of_polynomial(w.minpoly, w.p).vertices)
+    # a place of rise r over span s has slope r/(s n) and invariant r/n mod 1
+    n = w.n
+    d = lcm(*(n // gcd(rise, n) for rise, _ in places))
     if (e * d) % 2 != 0:
         raise InputError("parity failure in 2g = e*d (unexpected)")
     g = e * d // 2
-    slopes = tuple(sorted(slopes))
-    if tuple(sorted(1 - s for s in slopes)) != slopes:
+    # the hull's slopes are distinct: {t} = {1 - t} pairs place i with -1-i
+    if any(s1 != s2 or r1 + r2 != s1 * n for (r1, s1), (r2, s2) in zip(places, reversed(places))):
         raise InputError("slope multiset not symmetric (unexpected for a Weil number)")
     return HondaTateData(
         case="C",
-        slopes=slopes,
+        slopes=tuple(t for rise, span in places for t in [Fraction(rise, span * n)] * span),
         e0=e // 2,
         e=e,
         d=d,
         g=g,
         albert="IV(%d,%d)" % (e // 2, d),
-        local_invariants=tuple(invariants),
+        local_invariants=tuple(
+            ("p|%d:deg=%d" % (idx, span), Fraction(rise % n, n)) for idx, (rise, span) in enumerate(places)
+        ),
     )
 
 

@@ -12,6 +12,7 @@ from isolab.cli import MAX_POLYGON_HEIGHT, MAX_PRECISION, main, parse_polygon
 from isolab.errors import InputError
 from isolab.newton import np_from_pairs
 from isolab.poset import MAX_POSET_HEIGHT
+from isolab.semimodule import MAX_SEMIMODULES
 
 
 # Over F_{31^3}, euler_phi(31^3 - 1) = 7920 guard digits per base-31 digit
@@ -247,6 +248,8 @@ class TestExitCodes:
             (["cartier", "mul", "--x", F_31_CUBED, "--y", F_31_CUBED], MAX_WORKING_PRECISION),
             (["cartier", "mul", "--x", HUGE_F_EXPONENT, "--y", HUGE_F_EXPONENT], MAX_WORKING_PRECISION),
             (["poset", "build", "--h", "30", "--d", "15"], MAX_POSET_HEIGHT),
+            (["semimod", "enumerate", "--m", "11", "--n", "12"], MAX_SEMIMODULES),
+            (["semimod", "enumerate", "--m", "2", "--n", "2001"], MAX_SEMIMODULES),
         ],
     )
     def test_size_over_its_cap_is_2(self, argv, cap):
@@ -281,6 +284,40 @@ class TestExitCodes:
         assert len(capsys.readouterr().out.splitlines()) == MAX_POSET_HEIGHT
         assert main(["poset", "build", "--h", str(MAX_POSET_HEIGHT + 1), "--d", "1"]) == 2
         assert "cap of %d" % MAX_POSET_HEIGHT in capsys.readouterr().err
+
+    def test_semimodule_cap_is_inclusive(self, capsys, monkeypatch):
+        # (4,5) has 14 types and (2,29) has 15
+        monkeypatch.setattr("isolab.semimodule.MAX_SEMIMODULES", 14)
+        assert main(["semimod", "enumerate", "--m", "4", "--n", "5"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 14
+        assert main(["semimod", "enumerate", "--m", "2", "--n", "29"]) == 2
+        assert "cap of 14" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["np-poly", "--coeffs", "1,1/0", "--p", "2"],
+            ["np", "dim", "--json", '{"slopes":["1/0"]}'],
+            ["np", "dim", "--json", '{"pairs":5}'],
+            ["np", "dim", "--json", '{"pairs":[[1,null]]}'],
+            ["weil", "verify", "--json", '{"minpoly":5,"p":2,"n":1}'],
+            ["semimod", "normalize", "--json", '{"m":2,"n":3,"heads":5}'],
+            ["cartier", "mul", "--x", '{"p":2,"terms":5}', "--y", '{"p":2}'],
+            ["dieudonne", "a-number", "--json", '{"p":2,"h":1,"F":5}'],
+        ],
+    )
+    def test_malformed_payload_is_2(self, capsys, argv):
+        # each of these once ended in a ZeroDivisionError or TypeError
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err and "error:" in err
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_weil_trace_n_below_one_is_2(self, capsys, n):
+        # n = 0 once printed a Weil number for q = 1, n = -3 used q = 0.125
+        assert main(["weil-trace", "--beta", "1", "--p", "2", "--n", n]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "n must be >= 1" in err
 
     def test_cartier_working_precision_cap_is_inclusive(self, capsys):
         # the element 1 at V-cap A is normalized at precision A + 2 + phi*(A + 1)

@@ -1,5 +1,6 @@
 """Static check of the package's exactness contract: no floating point and
-no imports hidden inside function bodies anywhere under src/isolab."""
+no imports hidden inside function bodies anywhere under src/isolab, and
+no `fractions` at all in the modules that work on integer polygons."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "isolab"
 FLOAT_NAMES = {"float", "inf"}
 INEXACT_MATH = {"sqrt", "log", "log2", "log10", "floor", "ceil"}
+# polygons reach these as integer vertex paths and stay integers there
+FRACTION_FREE = {"poset.py"}
 
 
 def violations(path):
@@ -29,6 +32,9 @@ def violations(path):
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             if in_function:
                 out.append("%s import inside a function" % where)
+            modules = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            if path.name in FRACTION_FREE and "fractions" in modules:
+                out.append("%s imports fractions" % where)
             from_math = isinstance(node, ast.ImportFrom) and node.module == "math"
             for alias in node.names:
                 if alias.name in FLOAT_NAMES or (from_math and alias.name in INEXACT_MATH):
@@ -64,9 +70,10 @@ def test_module_is_exact(path):
         ("def f():\n    from itertools import product\n", 1),
         ("def f():\n    return int(7**0.5)\n", 1),
         ("from math import gcd, isqrt\ny = gcd(4, isqrt(16))\n", 0),
+        ("from fractions import Fraction\n", 1),
     ],
 )
 def test_scanner_flags_inexact_code(tmp_path, source, count):
-    path = tmp_path / "probe.py"
+    path = tmp_path / "poset.py"  # a fraction-free name, so every rule applies
     path.write_text(source)
     assert len(violations(path)) == count

@@ -1,6 +1,8 @@
 """Newton polygon core: construction, duality, order, regions, hulls."""
 
 from fractions import Fraction
+from itertools import accumulate, groupby
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,66 @@ class TestConstruction:
     def test_slopes_round_trip(self, pairs):
         z = np_from_pairs(pairs)
         assert np_from_slopes(z.slopes()) == z
+
+
+def pair_multisets(h):
+    """Every multiset of coprime pairs (m,n) with the m+n summing to h."""
+    pairs = [(m, k - m) for k in range(1, h + 1) for m in range(k + 1) if gcd(m, k - m) == 1]
+
+    def rec(start, left):
+        if left == 0:
+            yield []
+        for i in range(start, len(pairs)):
+            m, n = pairs[i]
+            if m + n <= left:
+                for rest in rec(i, left - m - n):
+                    yield [(m, n)] + rest
+
+    return list(rec(0, h))
+
+
+def check_against_slope_multiset(z, slopes):
+    """Read every invariant off the bare slope multiset and compare."""
+    slopes = sorted(slopes)
+    h = len(slopes)
+    prefix = [Fraction(0)]
+    for s in slopes:
+        prefix.append(prefix[-1] + s)
+    assert (z.h, z.d) == (h, prefix[-1])
+    assert z.slopes() == slopes
+
+    def height(x):
+        i = min(int(x), h - 1)
+        return prefix[i] + slopes[i] * (x - i)
+
+    runs = [(s, len(list(group))) for s, group in groupby(slopes)]
+    ends = list(accumulate(k for _, k in runs))
+    midpoints = [Fraction(a + b, 2) for a, b in zip([0] + ends, ends)]
+    for x in list(range(h + 1)) + midpoints:
+        assert z.value(x) == height(x)
+    L = lcm(*(s.denominator for s in slopes))
+    assert z.heights() == (L, [int(L * y) for y in prefix])
+    assert z.pairs() == [
+        (s.numerator, s.denominator - s.numerator) for s, k in reversed(runs) for _ in range(k // s.denominator)
+    ]
+    dual = np_dual(z)
+    assert (dual.h, dual.d) == (h, h - z.d)
+    assert dual.slopes() == sorted(1 - s for s in slopes)
+
+
+class TestSlopeMultisetReference:
+    def test_every_polygon_up_to_h8(self):
+        for h in range(1, 9):
+            multisets = pair_multisets(h)
+            polygons = [np_from_pairs(pairs) for pairs in multisets]
+            assert set(polygons) == {z for d in range(h + 1) for z in enumerate_polygons(h, d)}
+            assert len(set(polygons)) == len(polygons)
+            for z, pairs in zip(polygons, multisets):
+                check_against_slope_multiset(z, [Fraction(m, m + n) for m, n in pairs for _ in range(m + n)])
+
+    @given(pairs_st)
+    def test_random_pairs(self, pairs):
+        check_against_slope_multiset(np_from_pairs(pairs), [Fraction(m, m + n) for m, n in pairs for _ in range(m + n)])
 
 
 class TestDuality:

@@ -1,5 +1,8 @@
 """Newton polygon posets: enumeration, covers, rank, chains, export."""
 
+import fractions
+import hashlib
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +13,9 @@ from isolab.newton import Comparison, np_compare, np_dim, np_dual, np_from_pairs
 from isolab.poset import (
     dot_export,
     enumerate_polygons,
+    isoclinic_polygon,
     longest_chain,
+    ordinary_polygon,
     poset_build,
     poset_to_json,
     specialization_witness,
@@ -236,6 +241,25 @@ class TestOracles:
         assert P.covers == covers
         assert P.ranks == oracle_ranks(covers)
 
+    def test_builds_make_no_fraction(self, monkeypatch):
+        # polygons travel from enumeration to covers and chains as integer
+        # vertex paths; a Fraction made on the way means a format slipped back
+        made = []
+        original = fractions.Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+        Fraction(1, 2)
+        assert made == [(1, 2)]  # the patch sees every construction
+        made.clear()
+        poset_build(8, 4)
+        poset_build(8, 4, symmetric=True)
+        specialization_witness(isoclinic_polygon(8, 4), ordinary_polygon(8, 4))
+        assert made == []
+
     @pytest.mark.parametrize("h", range(1, 8))
     def test_compare_matches_oracle(self, h):
         polys = [z for d in range(h + 1) for z in enumerate_polygons(h, d)]
@@ -332,6 +356,15 @@ class TestExport:
             dot = dot_export(poset_build(6, d))
             labels = [ln.split(" [")[0] for ln in dot.splitlines() if "[label=" in ln]
             assert len(labels) == len(set(labels))
+
+    def test_pinned_digest(self):
+        # JSON and DOT of every poset with h <= 10, then the symmetric ones
+        digest = hashlib.sha256()
+        shapes = [(h, d, False) for h in range(1, 11) for d in range(h + 1)]
+        for h, d, symmetric in shapes + [(h, h // 2, True) for h in range(2, 11, 2)]:
+            P = poset_build(h, d, symmetric)
+            digest.update((json.dumps(poset_to_json(P), sort_keys=True) + dot_export(P)).encode())
+        assert digest.hexdigest() == "fd114e762b2f8f6a1b76645404876927b8034245d1475054a3e86bba2377fe5e"
 
     def test_json_dump(self):
         P = poset_build(4, 2)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from isolab.errors import InputError
 from isolab.semimodule import (
+    MAX_SEMIMODULES,
     SemiModule,
     sm_dual,
     sm_enumerate,
@@ -39,6 +40,29 @@ def brute_enumerate(m, n):
         if all((a + s in hs or a + s >= 2 * r) for a in heads for s in (m, n)):
             count += 1
     return count
+
+
+def dfs_heads(m, n):
+    """The former enumeration, kept as an oracle: gap sets of size r in
+    [0, 2r), walked from high to low positions, forcing g-m and g-n
+    whenever g is taken."""
+    r = (m - 1) * (n - 1) // 2
+    out = []
+
+    def dfs(pos, chosen, required):
+        if len(chosen) == r:
+            if not required:
+                out.append(tuple(x for x in range(2 * r) if x not in chosen))
+            return
+        if pos < 0 or len(chosen) + pos + 1 < r:
+            return
+        forced = {pos - s for s in (m, n) if pos - s >= 0}
+        dfs(pos - 1, chosen | {pos}, (required - {pos}) | forced)
+        if pos not in required:
+            dfs(pos - 1, chosen, required)
+
+    dfs(2 * r - 1, set(), set())
+    return sorted(out)
 
 
 class TestNormalize:
@@ -140,6 +164,35 @@ class TestEnumerate:
         for m, n in coprime_mn(10):
             mods = set(sm_enumerate(m, n))
             assert {sm_dual(A) for A in mods} == mods
+
+    def test_heads_match_subset_oracle(self):
+        for m, n in coprime_mn(9):
+            r = (m - 1) * (n - 1) // 2
+            heads = [
+                hs
+                for hs in combinations(range(2 * r), r)
+                if all(a + s in hs or a + s >= 2 * r for a in hs for s in (m, n))
+            ]
+            assert [A.heads for A in sm_enumerate(m, n)] == heads
+            assert [A.heads for A in sm_enumerate(n, m)] == heads
+
+    def test_heads_match_former_dfs(self):
+        for m, n in coprime_mn(14):
+            assert [A.heads for A in sm_enumerate(m, n)] == dfs_heads(m, n)
+
+    def test_long_gap_runs(self):
+        # (2, n): one type per gap count in the odd class, with r deep gaps
+        for n in (101, 1001):
+            mods = sm_enumerate(2, n)
+            assert len(mods) == (n + 1) // 2
+            assert len(set(mods)) == len(mods) and sm_principal(2, n) in mods
+        assert len(sm_enumerate(3, 70)) == comb(73, 3) // 73
+
+    def test_cap_refused_up_front(self):
+        for m, n in ((11, 12), (2, 2 * MAX_SEMIMODULES + 1), (10**9 + 7, 10**9 + 9)):
+            with pytest.raises(InputError, match="cap of %d" % MAX_SEMIMODULES):
+                sm_enumerate(m, n)
+        assert len(sm_enumerate(2, 2 * MAX_SEMIMODULES - 1)) == MAX_SEMIMODULES
 
     def test_trivial_for_m1(self):
         mods = sm_enumerate(1, 7)

@@ -122,6 +122,12 @@ class TestFromRealTrace:
         with pytest.raises(InputError):
             weil_from_real_trace(5, 2, 2)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_refused(self, n):
+        # q = p^n would be 1, or a non-integer
+        with pytest.raises(InputError, match="n must be >= 1"):
+            weil_from_real_trace(1, 2, n)
+
     def test_always_verifies(self):
         for p in (2, 3, 5):
             for n in (1, 2, 3):
