@@ -5,8 +5,8 @@ plus the symmetric sub-posets, into a target directory.
 Usage: python scripts/poset_gallery.py [max_h] [outdir]
 """
 
+import argparse
 import pathlib
-import sys
 
 from isolab.poset import dot_export, poset_build
 
@@ -25,6 +25,8 @@ def main(max_h=6, outdir="poset-gallery"):
 
 
 if __name__ == "__main__":
-    max_h = int(sys.argv[1]) if len(sys.argv) > 1 else 6
-    outdir = sys.argv[2] if len(sys.argv) > 2 else "poset-gallery"
-    main(max_h, outdir)
+    parser = argparse.ArgumentParser(description="Write DOT files of the Newton polygon posets up to height max_h.")
+    parser.add_argument("max_h", nargs="?", type=int, default=6, help="largest height (default 6)")
+    parser.add_argument("outdir", nargs="?", default="poset-gallery", help="target directory (default poset-gallery)")
+    args = parser.parse_args()
+    main(args.max_h, args.outdir)

@@ -6,7 +6,7 @@ unpolarized dimension formulas, next to p-rank and a climb to ordinary.
 Usage: python scripts/stratum_dimensions.py [max_g]
 """
 
-import sys
+import argparse
 
 from isolab.newton import np_dim, np_sdim, p_rank, render_pairs
 from isolab.poset import longest_chain, poset_build
@@ -27,4 +27,6 @@ def main(max_g=4):
 
 
 if __name__ == "__main__":
-    main(int(sys.argv[1]) if len(sys.argv) > 1 else 4)
+    parser = argparse.ArgumentParser(description="Tabulate stratum dimensions of the symmetric Newton polygons up to genus max_g.")
+    parser.add_argument("max_g", nargs="?", type=int, default=4, help="largest genus (default 4)")
+    main(parser.parse_args().max_g)

@@ -5,7 +5,7 @@ classify every admissible real trace and histogram the outcomes.
 Usage: python scripts/weil_census.py [max_q]
 """
 
-import sys
+import argparse
 from collections import Counter
 from math import isqrt
 
@@ -43,4 +43,6 @@ def main(max_q=200):
 
 
 if __name__ == "__main__":
-    main(int(sys.argv[1]) if len(sys.argv) > 1 else 200)
+    parser = argparse.ArgumentParser(description="Census of the quadratic Weil numbers for q = p^n up to max_q.")
+    parser.add_argument("max_q", nargs="?", type=int, default=200, help="largest q (default 200)")
+    main(parser.parse_args().max_q)

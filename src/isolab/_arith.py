@@ -2,7 +2,8 @@
 
 Integers: deterministic primality, factorization, divisors, Euler's phi
 and p-adic valuations.  Ring and field elements: `power`, the one
-square-and-multiply, and `rank`, the one Gaussian elimination.
+square-and-multiply, and `rank`, the one Gaussian elimination.  Integer
+matrices: `charpoly`, the characteristic polynomial mod n with no division.
 Polynomials are dense coefficient lists, lowest degree first; every
 routine that returns a polynomial returns a fresh trimmed list.  Without
 a modulus they compute over Q (ints and `Fraction`s), with a prime
@@ -13,6 +14,7 @@ Gerhard, *Modern Computer Algebra*, Ch. 14.
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import InputError
 
@@ -170,6 +172,32 @@ def rank(rows):
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[done])]
         done += 1
     return done
+
+
+def charpoly(M, modulus):
+    """[1, c_1, ..., c_h] mod `modulus`, where det(T - M) = T^h + c_1 T^(h-1)
+    + ... + c_h, for a square matrix M of ints.
+
+    Berkowitz's recursion (Inf. Process. Lett. 18, 1984) adds one row and
+    column at a time and never divides, so it holds over any Z/n, also
+    mod p^N with p <= h, where Faddeev-LeVerrier would divide by p.  Zero
+    entries are skipped: a matrix with one nonzero per row costs O(h^3).
+    """
+    nonzero = [[(t, x) for t, x in enumerate(row) if x] for row in M]
+    coeffs = [1]
+    for k, row in enumerate(M):
+        # with A = M[:k][:k], C = M[:k][k] and R = M[k][:k], the step's
+        # Toeplitz matrix has first column 1, -M[k][k], -RC, -RAC, ..., -RA^(k-1)C
+        A = [[(t, x) for t, x in nonzero[i] if t < k] for i in range(k)]
+        R = [(t, x) for t, x in nonzero[k] if t < k]
+        col = [M[i][k] for i in range(k)]
+        first = [1, -row[k]]
+        for _ in range(k):
+            first.append(-sum(x * col[t] for t, x in R) % modulus)
+            col = [sum(x * col[t] for t, x in r) % modulus for r in A]
+        # coeffs <- T coeffs with T[i][j] = first[i - j]; map stops at j = min(i, k)
+        coeffs = [sum(map(mul, first[i::-1], coeffs)) % modulus for i in range(k + 2)]
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

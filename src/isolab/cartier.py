@@ -201,10 +201,10 @@ def _from_int(ctx, k):
     k on the main diagonal, rows (b, b)."""
     guard = ctx.phi * (base_p_digits(abs(k), ctx.p) + 1) + 2
     ring = _working_ring(ctx, ctx.vcap + guard)
-    digits, rest = ring.teichmuller_digits(ring.from_int(k), ctx.vcap)
-    raw = [(b, b, r.frobenius(b)) for b, r in enumerate(digits) if not r.is_zero()]
+    keys, rest = ring.digit_keys(ring.from_int(k).coeffs, ctx.vcap)
+    raw = [(b, b, ctx.field(r).frobenius(b)) for b, r in enumerate(keys) if any(r)]
     pg = ctx.p**guard
-    return cartier_normalize(ctx, raw, truncated=any(c % pg for c in rest.coeffs))
+    return cartier_normalize(ctx, raw, truncated=any(c % pg for c in rest))
 
 
 def cartier_normalize(context, raw_terms, truncated=False):
@@ -213,6 +213,9 @@ def cartier_normalize(context, raw_terms, truncated=False):
     Terms are grouped by diagonal i = a-b, converted to Witt elements of
     the unramified lift at certified precision, summed there, and read
     back as Teichmuller digits.  Rows at or beyond the V-cap are dropped.
+    The sum and its digits are plain coefficient lists: the only ring
+    elements met are the table's lifts, and a field element is built only
+    for a nonzero digit.
 
     The `truncated` flag is exact: the residual past the cap is an integer
     combination of roots of unity, so its norm bounds how deep a nonzero
@@ -240,22 +243,25 @@ def cartier_normalize(context, raw_terms, truncated=False):
         weight = sum(p**b for _, b, _ in terms) + p**digits  # bound on sum|n_j|
         guard = context.phi * base_p_digits(weight, p) + 2
         ring = _working_ring(context, digits + guard)
-        acc = sum((p**b * ring.teichmuller(c.frobenius_inv(a)) for a, b, c in terms), ring.zero())
-        residues, v = ring.teichmuller_digits(acc, digits)
-        for b, r in enumerate(residues):
-            if r.is_zero():
+        acc = [0] * context.m
+        for a, b, c in terms:
+            pb = p**b
+            acc = [x + pb * y for x, y in zip(acc, ring.teichmuller(c.frobenius_inv(a)).coeffs)]
+        keys, v = ring.digit_keys([x % ring.pN for x in acc], digits)
+        for b, r in enumerate(keys):
+            if not any(r):
                 continue
             a = i + b
             if a < 0:
                 raise PrecisionError("digit below the F-side floor (internal)")
-            table[(a, b)] = r.frobenius(a)
+            table[(a, b)] = field(r).frobenius(a)
         # after `digits` exact divisions only `guard` digits of v are still
         # certified (the top digits are mod-p^P wraparound noise).  The true
         # residual is sum n_j tau_j with sum|n_j| <= weight, so if nonzero
         # its valuation is under phi*log_p(weight) < guard: vanishing of the
         # certified part decides tail-vanishing exactly.
         pg = p**guard
-        if any(c % pg for c in v.coeffs):
+        if any(c % pg for c in v):
             truncated = True
     return CartierElement(context, table, truncated)
 

@@ -10,10 +10,9 @@ torus quotients.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from ._arith import rank, require_prime, vp
+from ._arith import charpoly, rank, require_prime, vp
 from .errors import InputError, PrecisionError
 from .newton import ValuationPolygon
 from .snf import elementary_divisors
@@ -65,8 +64,7 @@ class DieudonnePresentation:
         """
         if self.context.m != 1:
             raise InputError("det valuation is only computed over F_p")
-        c = _char_poly_int(self.F)
-        det = c[-1] % self.context.ring.pN
+        det = charpoly([[e.coeffs[0] for e in row] for row in self.F], self.context.ring.pN)[-1]
         return vp(det, self.context.p) if det else None
 
     def to_json(self):
@@ -307,45 +305,17 @@ def np_sigma_trivial(matrix_or_pres, context=None):
         M = _as_matrix(context, matrix_or_pres)
     if context.m != 1:
         raise InputError("sigma-trivial route requires base field F_p")
-    c = _char_poly_int(M)
     p, N = context.p, context.N
-    pN = p**N
+    c = charpoly([[e.coeffs[0] for e in row] for row in M], context.ring.pN)
     h = len(M)
-    if c[-1] % pN == 0:
+    if c[-1] == 0:
         raise PrecisionError("det(F) vanishes at precision N=%d; raise N" % N)
     points = [(0, 0)]
     for i in range(1, h + 1):
-        ci = c[i] % pN
-        if ci == 0:
+        if c[i] == 0:
             continue  # true valuation >= N > certified hull; irrelevant
-        points.append((i, vp(ci, p)))
+        points.append((i, vp(c[i], p)))
     return ValuationPolygon(h, points)
-
-
-def _char_poly_int(M):
-    """char(T) = T^h + c_1 T^(h-1) + ... + c_h for an integer-lift matrix,
-    by the Faddeev-LeVerrier recursion over exact rationals."""
-    h = len(M)
-    A = [[Fraction(e.coeffs[0]) for e in row] for row in M]
-    Mk = [row[:] for row in A]
-    coeffs = [Fraction(1)]
-    for k in range(1, h + 1):
-        ck = -sum(Mk[i][i] for i in range(h)) / k
-        coeffs.append(ck)
-        if k == h:
-            break
-        for i in range(h):
-            Mk[i][i] += ck
-        Mk = [
-            [sum(A[i][t] * Mk[t][j] for t in range(h)) for j in range(h)]
-            for i in range(h)
-        ]
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InputError("characteristic polynomial not integral (impossible)")
-        out.append(int(c))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -103,13 +103,15 @@ class FFElement:
 
     def frobenius(self, k=1):
         """self^(p^k), by the field's matrix of x -> x^(p^k)."""
+        if k % self.field.m == 0:
+            return self
         return FFElement(self.field, _apply(self.field._frobenius_matrix(k), self.coeffs))
 
     def frobenius_inv(self, k=1):
         return self.frobenius(-k)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -272,7 +274,7 @@ class UElement:
         return power(self, k, self.ring.one())
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_unit(self):
         return not self.residue().is_zero()
@@ -299,12 +301,6 @@ class UElement:
         for _ in range((self.ring.N - 1).bit_length()):
             z = z * (2 - self * z)
         return z
-
-    def exact_div_p(self):
-        if any(c % self.ring.p for c in self.coeffs):
-            raise InputError("not divisible by p")
-        # the quotient only carries N-1 certified digits but stays in-ring
-        return UElement(self.ring, [c // self.ring.p for c in self.coeffs])
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -410,12 +406,21 @@ class UnramifiedRing:
     def teichmuller_digits(self, v, k):
         """The first k Teichmuller digits r_0..r_{k-1} of v, as residues
         (v = sum p^i [r_i] + p^k w), and the remainder w."""
-        digits = []
+        keys, rest = self.digit_keys(v.coeffs, k)
+        return [FFElement(self.field, r) for r in keys], UElement(self, rest)
+
+    def digit_keys(self, coeffs, k):
+        """teichmuller_digits on plain ints: the digits as residue tuples
+        (the keys of the lift table) and the remainder's coefficients, for
+        an element given by its coefficients mod p^N."""
+        p, pN, table = self.p, self.pN, self._teichmuller
+        keys = []
         for _ in range(k):
-            r = v.residue()
-            digits.append(r)
-            v = (v - self.teichmuller(r)).exact_div_p()
-        return digits, v
+            r = tuple([c % p for c in coeffs])
+            keys.append(r)
+            lift = table.get(r) or self.teichmuller(self.field(r))
+            coeffs = [(a - b) % pN // p for a, b in zip(coeffs, lift.coeffs)]
+        return keys, coeffs
 
     def __repr__(self):
         return "UnramifiedRing(p=%d, m=%d, N=%d)" % (self.p, self.m, self.N)

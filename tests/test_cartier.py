@@ -6,14 +6,132 @@ from math import factorial
 
 import pytest
 
-from isolab.cartier import CartierContext, artin_hasse, cartier_from_json, cartier_normalize
+from isolab._arith import base_p_digits
+from isolab.cartier import (
+    MAX_WORKING_PRECISION,
+    CartierContext,
+    CartierElement,
+    _from_int,
+    _working_ring,
+    artin_hasse,
+    cartier_from_json,
+    cartier_normalize,
+)
 from isolab.errors import InputError, PrecisionError
+from isolab.unramified import UElement
 from isolab.witt import WittContext
 
 
 def random_nonzero(field, rng):
     els = [e for e in field.elements() if not e.is_zero()]
     return rng.choice(els)
+
+
+# ---------------------------------------------------------------------------
+# oracles: normalization on ring elements, digit by digit
+
+
+def oracle_digits(ring, v, k):
+    """Teichmuller digits by ring arithmetic: residue, subtract its lift,
+    divide by p."""
+    digits = []
+    for _ in range(k):
+        r = v.residue()
+        digits.append(r)
+        v = UElement(ring, [c // ring.p for c in (v - ring.teichmuller(r)).coeffs])
+    return digits, v
+
+
+def oracle_normalize(context, raw_terms, truncated=False):
+    """cartier_normalize with every sum, difference and quotient a
+    `UElement` and every digit a field element."""
+    field, A, p = context.field, context.vcap, context.p
+    diagonals = {}
+    for a, b, c in raw_terms:
+        c = field.coerce(c)
+        if c.is_zero():
+            continue
+        if a >= A:
+            truncated = True
+            continue
+        diagonals.setdefault(a - b, []).append((a, b, c))
+    table = {}
+    for i, terms in diagonals.items():
+        digits = A - i
+        assert digits <= MAX_WORKING_PRECISION
+        weight = sum(p**b for _, b, _ in terms) + p**digits
+        guard = context.phi * base_p_digits(weight, p) + 2
+        ring = _working_ring(context, digits + guard)
+        acc = sum((ring.from_int(p) ** b * ring.teichmuller(c.frobenius_inv(a)) for a, b, c in terms), ring.zero())
+        residues, v = oracle_digits(ring, acc, digits)
+        for b, r in enumerate(residues):
+            if not r.is_zero():
+                assert i + b >= 0
+                table[(i + b, b)] = r.frobenius(i + b)
+        if any(c % p**guard for c in v.coeffs):
+            truncated = True
+    return CartierElement(context, table, truncated)
+
+
+def oracle_from_int(ctx, k):
+    guard = ctx.phi * (base_p_digits(abs(k), ctx.p) + 1) + 2
+    ring = _working_ring(ctx, ctx.vcap + guard)
+    digits, rest = oracle_digits(ring, ring.from_int(k), ctx.vcap)
+    raw = [(b, b, r.frobenius(b)) for b, r in enumerate(digits) if not r.is_zero()]
+    return oracle_normalize(ctx, raw, truncated=any(c % ctx.p**guard for c in rest.coeffs))
+
+
+ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+class TestNormalizeOracle:
+    @pytest.mark.parametrize("p, m", ORACLE_FIELDS)
+    @pytest.mark.parametrize("vcap", [1, 2, 3, 4])
+    def test_monomial_products_and_sums(self, p, m, vcap):
+        # every product and every sum of two monomials V^a <c> F^b with
+        # a, b < vcap and c != 0: the same terms and the same truncated flag
+        ctx = CartierContext(p, m, vcap)
+        units = [c for c in ctx.field.elements() if not c.is_zero()]
+        monomials = [(a, b, c) for a in range(vcap) for b in range(vcap) for c in units]
+        raws = set()
+        for j, (a, b, c) in enumerate(monomials):
+            for a2, b2, c2 in monomials:
+                raws.add(((a + a2, b + b2, c.frobenius(a2) * c2.frobenius(b)),))
+            for other in monomials[j:]:
+                raws.add(((a, b, c), other))
+        for raw in raws:
+            got, want = cartier_normalize(ctx, raw), oracle_normalize(ctx, raw)
+            assert (got.terms, got.truncated) == (want.terms, want.truncated), raw
+
+    @pytest.mark.parametrize("p, m", ORACLE_FIELDS)
+    def test_from_int(self, p, m):
+        ctx = CartierContext(p, m, vcap=4)
+        for k in range(-50, 51):
+            got, want = _from_int(ctx, k), oracle_from_int(ctx, k)
+            assert (got.terms, got.truncated) == (want.terms, want.truncated), k
+
+    def test_warm_normalize_builds_no_ring_element(self, monkeypatch):
+        # the sum and its digits are plain ints: a warm normalization over
+        # F_9 meets ring elements only as entries of the lift table
+        ctx = CartierContext(3, 2, vcap=4)
+        g = ctx.field.generator()
+        raw = [(1, 0, g), (2, 1, g + 1), (3, 3, 2 * g), (0, 2, 1), (1, 0, 2)]
+        cold = cartier_normalize(ctx, raw)
+        ring = _working_ring(ctx, 4)
+        made = []
+        original = UElement.__init__
+
+        def counting(self, ring, coeffs):
+            made.append(coeffs)
+            original(self, ring, coeffs)
+
+        monkeypatch.setattr(UElement, "__init__", counting)
+        UElement(ring, [1])
+        assert made == [[1]]  # the patch sees every construction
+        made.clear()
+        warm = cartier_normalize(ctx, raw)
+        assert made == []
+        assert (warm.terms, warm.truncated) == (cold.terms, cold.truncated)
 
 
 class TestRelations:

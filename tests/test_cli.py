@@ -9,10 +9,12 @@ import pytest
 
 from isolab.cartier import MAX_ARTIN_HASSE_DEGREE, MAX_WORKING_PRECISION, artin_hasse
 from isolab.cli import MAX_POLYGON_HEIGHT, MAX_PRECISION, main, parse_polygon
+from isolab.dieudonne import gmn_module
 from isolab.errors import InputError
 from isolab.newton import np_from_pairs
 from isolab.poset import MAX_POSET_HEIGHT
 from isolab.semimodule import MAX_SEMIMODULES
+from isolab.witt import WittContext
 
 
 # Over F_{31^3}, euler_phi(31^3 - 1) = 7920 guard digits per base-31 digit
@@ -338,6 +340,15 @@ class TestExitCodes:
         payload = json.dumps({"p": 2, "m": 1, "N": 4, "h": 2, "F": [["16", "0"], ["0", "1"]]})
         proc = run_cli("dieudonne", "np-sigma-trivial", "--json", payload)
         assert proc.returncode == 3
+
+    def test_sigma_trivial_at_height_sixty(self, tmp_path):
+        # G_{1,59} over F_2: det(T - F) by Faddeev-LeVerrier over Fraction
+        # was still running after 30 s; mod p^N by Berkowitz it is instant
+        path = tmp_path / "g_1_59.json"
+        path.write_text(json.dumps(gmn_module(1, 59, WittContext(2, 1, 62)).to_json()))
+        proc = run_cli("dieudonne", "np-sigma-trivial", "--json", str(path), timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout == " ".join(["1/60"] * 60) + "\n"
 
 
 class TestDeterminism:

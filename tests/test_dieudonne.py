@@ -1,11 +1,13 @@
 """Presentations, displays, slope polygons, torsion profiles."""
 
+import fractions
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from isolab._arith import charpoly
 from isolab.dieudonne import (
     DieudonnePresentation,
     DisplayNormalForm,
@@ -34,6 +36,32 @@ def coprime_pairs(max_h, minimum=0):
         for n in range(minimum, max_h + 1):
             if (m or n) and m + n <= max_h and gcd(m, n) == 1:
                 out.append((m, n))
+    return out
+
+
+def faddeev_leverrier(A):
+    """char(T) = T^h + c_1 T^(h-1) + ... + c_h of an int matrix, exactly, by
+    the Faddeev-LeVerrier recursion over rationals: the oracle of
+    `_arith.charpoly` (it divides by 1..h, so it cannot run mod p^N)."""
+    h = len(A)
+    A = [[Fraction(x) for x in row] for row in A]
+    Mk = [row[:] for row in A]
+    coeffs = [Fraction(1)]
+    for k in range(1, h + 1):
+        ck = -sum(Mk[i][i] for i in range(h)) / k
+        coeffs.append(ck)
+        if k == h:
+            break
+        for i in range(h):
+            Mk[i][i] += ck
+        Mk = [
+            [sum(A[i][t] * Mk[t][j] for t in range(h)) for j in range(h)]
+            for i in range(h)
+        ]
+    out = []
+    for c in coeffs:
+        assert c.denominator == 1
+        out.append(int(c))
     return out
 
 
@@ -237,8 +265,6 @@ class TestSigmaTrivial:
     def test_char_poly_against_evaluation_oracle(self):
         # independent oracle: char(t) = det(t I - M) evaluated at h+1
         # integer points via fraction-exact Gaussian elimination
-        from isolab.dieudonne import _char_poly_int
-
         def det_int(mat):
             n = len(mat)
             mat = [[Fraction(x) for x in row] for row in mat]
@@ -263,12 +289,49 @@ class TestSigmaTrivial:
         for _ in range(15):
             h = rng.randrange(1, 5)
             M = [[ctx.ring.from_int(rng.randrange(-10, 10)) for _ in range(h)] for _ in range(h)]
-            got = _char_poly_int(M)
+            got = faddeev_leverrier([[e.coeffs[0] for e in row] for row in M])
             arr = [[e.coeffs[0] for e in row] for row in M]
             for t in range(h + 1):
                 tim = [[(t if i == j else 0) - arr[i][j] for j in range(h)] for i in range(h)]
                 val = sum(got[k] * t ** (h - k) for k in range(h + 1))
                 assert det_int(tim) == val
+
+
+class TestCharpoly:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_berkowitz_matches_faddeev_leverrier(self, p):
+        # p <= h is included: the residues agree although FL divides by p
+        rng = random.Random(p)
+        for h in range(1, 9):
+            for N in (1, 2, 3, 5, 10):
+                q = p**N
+                for density in (1, 3):
+                    M = [[rng.randrange(-q, q) if rng.randrange(density) == 0 else 0 for _ in range(h)] for _ in range(h)]
+                    assert charpoly(M, q) == [c % q for c in faddeev_leverrier(M)], (h, N, M)
+
+    def test_empty_and_scalar(self):
+        assert charpoly([], 8) == [1]
+        assert charpoly([[5]], 8) == [1, 3]
+
+    def test_sigma_trivial_route_makes_no_fraction(self, monkeypatch):
+        made = []
+        original = fractions.Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        ctx = WittContext(2, 1, 9)
+        pres = gmn_module(2, 5, ctx)
+        dnf = DisplayNormalForm(ctx, 5, 2, {(1, 5): 1, (2, 3): 3})
+        monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+        Fraction(1, 2)
+        assert made == [(1, 2)]  # the patch sees every construction
+        made.clear()
+        np_sigma_trivial(pres)
+        np_sigma_trivial(display_matrix(dnf), ctx)
+        pres.det_valuation()
+        assert made == []
 
 
 class TestCayleyHamiltonCrossValidation:
