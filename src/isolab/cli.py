@@ -7,6 +7,11 @@ text (default), json, or dot where applicable.  The precision N of witt,
 cartier and dieudonne is --N, else the environment variable
 ISOLAB_PRECISION, else 6; a presentation read from JSON takes its own "N",
 else ISOLAB_PRECISION, else h + 2.
+
+A request builds the root parser and only the subcommand its argv names;
+help, an abbreviated --format, "--" and a missing or unknown command build
+every subcommand, so each message reads as it does with the full parser.
+(This paragraph is left out of the --help description.)
 """
 
 import argparse
@@ -475,93 +480,124 @@ _ACTIONS = {
         "dot": (lambda args: print(dot_export(_poset(args)), end=""), ()),
     },
 }
-_FLAG_NAMES = {"frm": "--from", "gm": "--m", "gn": "--n"}
 
 
-def build_parser():
-    root = _Parser(prog="isocrystal-lab", description=__doc__)
+# The one table of arguments, in the order --help lists them: command ->
+# (its help line, its options as (flag, add_argument keywords)); the action
+# positional comes from _ACTIONS.  An option's attribute is its "dest", else
+# its flag without the dashes.
+_COMMANDS = {
+    "np": ("Newton polygon operations", (
+        ("--pairs", {"help": 'polygon like "2*(1,0)+(2,1)+(1,5)"'}),
+        ("--json", {"help": "polygon JSON (inline, path, or -)"}),
+        ("--a", {"help": "first polygon (compare)"}),
+        ("--b", {"help": "second polygon (compare)"}),
+    )),
+    "np-poly": ("valuation polygon of a monic polynomial", (
+        ("--coeffs", {"required": True, "help": "leading first, e.g. 1,0,-5,-125"}),
+        ("--p", {"type": int, "required": True}),
+    )),
+    "weil": ("q-Weil numbers", (
+        ("--minpoly", {"help": "integer coefficients, leading first"}),
+        ("--p", {"type": int}),
+        ("--n", {"type": int}),
+        ("--json", {"help": '{"minpoly": [...], "p":, "n":}'}),
+    )),
+    "weil-trace": ("quadratic Weil number from a real trace", (
+        ("--beta", {"type": int, "required": True}),
+        ("--p", {"type": int, "required": True}),
+        ("--n", {"type": int, "required": True}),
+    )),
+    "witt": ("truncated Witt vectors", (
+        ("--p", {"type": int, "required": True}),
+        ("--m", {"type": int, "default": 1}),
+        ("--N", {"type": int}),
+        ("--coords", {"help": "integer coordinates (ghost)"}),
+        ("--a", {"help": "first operand coordinates"}),
+        ("--b", {"help": "second operand coordinates"}),
+    )),
+    "cartier": ("local Cartier ring", (
+        ("--p", {"type": int, "default": 2}),
+        ("--N", {"type": int}),
+        ("--degree", {"type": int, "default": 20}),
+        ("--x", {"help": "Cartier element JSON"}),
+        ("--y", {"help": "Cartier element JSON (mul)"}),
+        ("--w", {"help": "Witt coordinates (act)"}),
+    )),
+    "dieudonne": ("module presentations and slope polygons", (
+        ("--m", {"dest": "gm", "type": int, "help": "slope numerator for gmn"}),
+        ("--n", {"dest": "gn", "type": int, "help": "slope conumerator for gmn"}),
+        ("--p", {"type": int, "default": 2}),
+        ("--field-degree", {"dest": "m", "type": int, "default": 1}),
+        ("--N", {"type": int}),
+        ("--exponents", {"help": "sorted exponents for serre-tate-torsion"}),
+        ("--json", {"help": "presentation / normal form JSON"}),
+    )),
+    "semimod": ("(m,n)-semimodules", (
+        ("--m", {"dest": "sm_m", "type": int}),
+        ("--n", {"dest": "sm_n", "type": int}),
+        ("--heads", {"help": "finite members, comma separated"}),
+        ("--tail", {"type": int, "help": "start of the full tail"}),
+        ("--jumps", {"help": "jump sequence, last entry = tail start"}),
+        ("--json", {"help": '{"m":, "n":, "heads": [...]} (inline, path, or -)'}),
+    )),
+    "poset": ("Newton polygon posets", (
+        ("--h", {"type": int, "required": True}),
+        ("--d", {"type": int, "required": True}),
+        ("--symmetric", {"action": "store_true"}),
+        ("--from", {"dest": "frm", "help": '"iso", "ord" or a pair expression'}),
+        ("--to", {"help": '"iso", "ord" or a pair expression'}),
+    )),
+}
+
+
+def _command_named(argv):
+    """The command argv names when only --format X or --format=X precede it;
+    else None: what argparse prints for help, an abbreviated option, "--",
+    or a missing or unknown command depends on every command's parser."""
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token in _COMMANDS:
+            return token
+        if token == "--format":
+            i += 2
+        elif token.startswith("--format="):
+            i += 1
+        else:
+            return None
+    return None
+
+
+def build_parser(command=None):
+    """The parser of every command, or of `command` alone."""
+    root = _Parser(prog="isocrystal-lab", description=(__doc__ or "").rpartition("\n\n")[0])
     root.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    sub = root.add_subparsers(dest="command", required=True)
-
-    def command(name, help):
-        parser = sub.add_parser(name, help=help)
+    # with one command registered, the metavar keeps the usage line that
+    # argparse prints for unrecognized arguments and main's missing flags
+    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
+    sub = root.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        summary, options = _COMMANDS[name]
+        parser = sub.add_parser(name, help=summary)
         if None not in _ACTIONS[name]:
             parser.add_argument("action", choices=tuple(_ACTIONS[name]))
-        return parser
-
-    np_p = command("np", "Newton polygon operations")
-    np_p.add_argument("--pairs", help='polygon like "2*(1,0)+(2,1)+(1,5)"')
-    np_p.add_argument("--json", help="polygon JSON (inline, path, or -)")
-    np_p.add_argument("--a", help="first polygon (compare)")
-    np_p.add_argument("--b", help="second polygon (compare)")
-
-    poly_p = command("np-poly", "valuation polygon of a monic polynomial")
-    poly_p.add_argument("--coeffs", required=True, help="leading first, e.g. 1,0,-5,-125")
-    poly_p.add_argument("--p", type=int, required=True)
-
-    weil_p = command("weil", "q-Weil numbers")
-    weil_p.add_argument("--minpoly", help="integer coefficients, leading first")
-    weil_p.add_argument("--p", type=int)
-    weil_p.add_argument("--n", type=int)
-    weil_p.add_argument("--json", help='{"minpoly": [...], "p":, "n":}')
-
-    trace_p = command("weil-trace", "quadratic Weil number from a real trace")
-    trace_p.add_argument("--beta", type=int, required=True)
-    trace_p.add_argument("--p", type=int, required=True)
-    trace_p.add_argument("--n", type=int, required=True)
-
-    witt_p = command("witt", "truncated Witt vectors")
-    witt_p.add_argument("--p", type=int, required=True)
-    witt_p.add_argument("--m", type=int, default=1)
-    witt_p.add_argument("--N", type=int)
-    witt_p.add_argument("--coords", help="integer coordinates (ghost)")
-    witt_p.add_argument("--a", help="first operand coordinates")
-    witt_p.add_argument("--b", help="second operand coordinates")
-
-    car_p = command("cartier", "local Cartier ring")
-    car_p.add_argument("--p", type=int, default=2)
-    car_p.add_argument("--N", type=int)
-    car_p.add_argument("--degree", type=int, default=20)
-    car_p.add_argument("--x", help="Cartier element JSON")
-    car_p.add_argument("--y", help="Cartier element JSON (mul)")
-    car_p.add_argument("--w", help="Witt coordinates (act)")
-
-    dieu_p = command("dieudonne", "module presentations and slope polygons")
-    dieu_p.add_argument("--m", dest="gm", type=int, help="slope numerator for gmn")
-    dieu_p.add_argument("--n", dest="gn", type=int, help="slope conumerator for gmn")
-    dieu_p.add_argument("--p", type=int, default=2)
-    dieu_p.add_argument("--field-degree", dest="m", type=int, default=1)
-    dieu_p.add_argument("--N", type=int)
-    dieu_p.add_argument("--exponents", help="sorted exponents for serre-tate-torsion")
-    dieu_p.add_argument("--json", help="presentation / normal form JSON")
-
-    sm_p = command("semimod", "(m,n)-semimodules")
-    sm_p.add_argument("--m", dest="sm_m", type=int)
-    sm_p.add_argument("--n", dest="sm_n", type=int)
-    sm_p.add_argument("--heads", help="finite members, comma separated")
-    sm_p.add_argument("--tail", type=int, help="start of the full tail")
-    sm_p.add_argument("--jumps", help="jump sequence, last entry = tail start")
-    sm_p.add_argument("--json", help='{"m":, "n":, "heads": [...]} (inline, path, or -)')
-
-    pos_p = command("poset", "Newton polygon posets")
-    pos_p.add_argument("--h", type=int, required=True)
-    pos_p.add_argument("--d", type=int, required=True)
-    pos_p.add_argument("--symmetric", action="store_true")
-    pos_p.add_argument("--from", dest="frm", help='"iso", "ord" or a pair expression')
-    pos_p.add_argument("--to", dest="to", help='"iso", "ord" or a pair expression')
-
+        for flag, kwargs in options:
+            parser.add_argument(flag, **kwargs)
     return root
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(_command_named(argv))
     try:
         args = parser.parse_args(argv)
         action = getattr(args, "action", None)
         handler, needs = _ACTIONS[args.command][action]
         if args.command == "weil" and args.json:
             needs = ()  # the payload carries minpoly, p and n
-        missing = [_FLAG_NAMES.get(name, "--" + name) for name in needs if getattr(args, name) is None]
+        flags = {kwargs.get("dest", flag[2:]): flag for flag, kwargs in _COMMANDS[args.command][1]}
+        missing = [flags[name] for name in needs if getattr(args, name) is None]
         if missing:
             parser.error("%s %s requires %s" % (args.command, action, ", ".join(missing)))
     except SystemExit as ex:

@@ -54,6 +54,25 @@ __all__ = [
 ]
 
 
+# Largest bit length of q = p^n served.  Such a q has at most 3,011 decimal
+# digits, so it prints under CPython's default 4,300-digit limit on int to
+# str conversion; q = 2^(10^9) took 4.7 s to form and then failed to print.
+MAX_Q_BITS = 10_000
+
+
+def _weil_q(p, n):
+    """q = p^n for prime p and n >= 1, refused before it is formed when it
+    would have more than MAX_Q_BITS bits."""
+    require_prime(p)
+    if n < 1:
+        raise InputError("n must be >= 1")
+    # q >= 2^(n(b - 1)) for p of bit length b: the first test refuses most
+    # oversized q unformed, and the second forms none above 2^(2 MAX_Q_BITS)
+    if n * (p.bit_length() - 1) > MAX_Q_BITS or (q := p**n).bit_length() > MAX_Q_BITS:
+        raise InputError("q = %d^%d exceeds the cap of %d bits" % (p, n, MAX_Q_BITS))
+    return q
+
+
 class WeilRejection(InputError):
     """Structured rejection naming the failed check."""
 
@@ -329,12 +348,9 @@ def weil_verify(minpoly, p, n):
         raise WeilRejection("non-integral", "coefficients must be integers")
     if not coeffs_desc or coeffs_desc[0] != 1:
         raise WeilRejection("non-integral", "polynomial must be monic")
-    require_prime(p)
-    if n < 1:
-        raise InputError("n must be >= 1")
+    q = _weil_q(p, n)
     asc = list(reversed(coeffs_desc))
     e = len(asc) - 1
-    q = p**n
     if not is_irreducible_q(asc):
         raise WeilRejection("reducible")
     # functional equation: c_k q^k = c_0 c_{e-k} for all k
@@ -361,10 +377,7 @@ def weil_from_real_trace(beta, p, n):
     beta = +-2 sqrt(q) needs q square and gives the rational pi = beta/2.
     """
     beta = int(beta)
-    require_prime(p)
-    if n < 1:
-        raise InputError("n must be >= 1")
-    q = p**n
+    q = _weil_q(p, n)
     if beta * beta > 4 * q:
         raise InputError("beta^2 > 4q: trace too large for a Weil number")
     if beta * beta == 4 * q:

@@ -8,12 +8,14 @@ import sys
 import pytest
 
 from isolab.cartier import MAX_ARTIN_HASSE_DEGREE, MAX_WORKING_PRECISION, artin_hasse
+from isolab import cli
 from isolab.cli import MAX_POLYGON_HEIGHT, MAX_PRECISION, main, parse_polygon
 from isolab.dieudonne import gmn_module
 from isolab.errors import InputError
 from isolab.newton import np_from_pairs
 from isolab.poset import MAX_POSET_HEIGHT
 from isolab.semimodule import MAX_SEMIMODULES
+from isolab.weil import MAX_Q_BITS, weil_verify
 from isolab.witt import WittContext
 
 
@@ -252,6 +254,8 @@ class TestExitCodes:
             (["poset", "build", "--h", "30", "--d", "15"], MAX_POSET_HEIGHT),
             (["semimod", "enumerate", "--m", "11", "--n", "12"], MAX_SEMIMODULES),
             (["semimod", "enumerate", "--m", "2", "--n", "2001"], MAX_SEMIMODULES),
+            (["weil-trace", "--beta", "1", "--p", "2", "--n", "1000000000"], MAX_Q_BITS),
+            (["weil", "verify", "--minpoly", "1,-1,2", "--p", "2", "--n", "1000000000"], MAX_Q_BITS),
         ],
     )
     def test_size_over_its_cap_is_2(self, argv, cap):
@@ -286,6 +290,16 @@ class TestExitCodes:
         assert len(capsys.readouterr().out.splitlines()) == MAX_POSET_HEIGHT
         assert main(["poset", "build", "--h", str(MAX_POSET_HEIGHT + 1), "--d", "1"]) == 2
         assert "cap of %d" % MAX_POSET_HEIGHT in capsys.readouterr().err
+        # q = 2^(MAX_Q_BITS - 1) has MAX_Q_BITS bits
+        trace = ["weil-trace", "--beta", "1", "--p", "2", "--n"]
+        assert main(trace + [str(MAX_Q_BITS - 1)]) == 0
+        assert capsys.readouterr().out == "1,-1,%d\n" % 2 ** (MAX_Q_BITS - 1)
+        assert main(trace + [str(MAX_Q_BITS)]) == 2
+        assert "cap of %d" % MAX_Q_BITS in capsys.readouterr().err
+        assert weil_verify([1, 0, -(2 ** (MAX_Q_BITS - 1))], 2, MAX_Q_BITS - 1).q.bit_length() == MAX_Q_BITS
+        n = max(n for n in range(MAX_Q_BITS) if (3**n).bit_length() <= MAX_Q_BITS)
+        with pytest.raises(InputError, match="cap of %d" % MAX_Q_BITS):
+            weil_verify([1, 0, -(3 ** (n + 1))], 3, n + 1)
 
     def test_semimodule_cap_is_inclusive(self, capsys, monkeypatch):
         # (4,5) has 14 types and (2,29) has 15
@@ -602,3 +616,116 @@ def test_pinned_request(capsys, monkeypatch, argv, code, digest):
     assert code in (0, 2, 64)
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# Exit code, stdout sha256 and stderr sha256 of the help texts and the usage
+# errors, with COLUMNS=80 (argparse wraps help to the terminal width).
+# Generated with the parser that registered every command on every call;
+# argparse words these texts differently across Python versions, and the
+# rows were taken on 3.11.
+USAGE_PINNED = [
+    (['--help'], 0, 'e5a9ebe1624e13230679ed16de6e000b25ae6255fd3630dc05e781c85755348d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (['np', '--help'], 0, 'c0903de4baea0f17d9925526689c984ca87fe66fb54b8a13126c655148cfdef6', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (['np-poly', '--help'], 0, '8573ec76caf4b884a1a8a1ea48a0bd8576fca5635d8cab9777e0ec0249ee23ce', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (['weil', '--help'], 0, '753bc10545419089bb6243fad22d0bb21bca095cc12ac503a0047e0a98a72801', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (['weil-trace', '--help'], 0, '13bb9fa9f753ad5735646a8dbfe20b7b872d0cebaa909cb348b2479d2d59016e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (['witt', '--help'], 0, '766fa5c6cff1365bc3296b998fe3b984bd6f4c7dbc6010ead5183a5310de736b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (['cartier', '--help'], 0, '766882dcc004fe45ba1fc181bbe840a0c6f71d30094e37c9b3cb5f0524ea8a05', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (['dieudonne', '--help'], 0, '72bb0afc4d6d73df0e698d6520a5624489db7908d68caf5b29bcea6bf7a6db01', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (['semimod', '--help'], 0, '19f07a22ebc74c02143aff375b6540954dce253a3a61dd73ab87f438bd5ffb17', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (['poset', '--help'], 0, 'aeb7c929cd9ab0896e88c28fa60f738f617629ad648e560a4e4410aa68154b91', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (['-h'], 0, 'e5a9ebe1624e13230679ed16de6e000b25ae6255fd3630dc05e781c85755348d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (['np', 'dim', '-h'], 0, 'c0903de4baea0f17d9925526689c984ca87fe66fb54b8a13126c655148cfdef6', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ([], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'e356ad4d52bf1bbbad810bb2a301ad3ac65b0e9e4e316b96c42796cea29dd38d'),
+    (['frobnicate'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '90f1806fb208082f176a9fdb2d219467af0b79aaaa81864242a01084e79201d7'),
+    (['--format', 'json'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'e356ad4d52bf1bbbad810bb2a301ad3ac65b0e9e4e316b96c42796cea29dd38d'),
+    (['--format', 'xml', 'np', 'dim', '--pairs', '(1,1)'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '5daebf165c90d2a58e4f142602d5a34048a15fe557c59f938e93619a1acb8337'),
+    (['--format=xml', 'np', 'dim', '--pairs', '(1,1)'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '5daebf165c90d2a58e4f142602d5a34048a15fe557c59f938e93619a1acb8337'),
+    (['--format'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '895b4574f0cce9cc907d14932b48f80b3c428f7a0ff10fba6b07c22e6abc3956'),
+    (['--format', 'np', 'dim', '--pairs', '(1,1)'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'fbe4d803829be96be463501be82e3c55e09010f08c6f2b9409fada66203cd7eb'),
+    (['--fo', 'json', 'np', 'dim', '--pairs', '(1,1)'], 0, '03b3dfa00ec3cc4e6132aa1a9c1bf822f1f8fec71c868b1af259bc791bd48b52', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (['--format=json', 'np', 'dim', '--pairs', '(1,1)'], 0, '03b3dfa00ec3cc4e6132aa1a9c1bf822f1f8fec71c868b1af259bc791bd48b52', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (['--', 'np', 'dim', '--pairs', '(1,1)'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '11613590f3931eb771aa74beebc2b0d92192e1230f7ead1a45a41b50fc37b335'),
+    (['np', 'dim', '--pai', '(1,1)'], 0, '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (['np', 'dim', '--pairs', '(1,1)', 'extra'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '4ee6bd91353209067d3c1bdc6576595044fde83ba78ab029179b67022a680dde'),
+    (['np', 'dim', '--pairs', '(1,1)', '--format', 'json'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'a6373bd6fd5bea67e53d59b37ae5a93d00b502dab40329be2c6008c7e4fec26f'),
+    (['np', 'frobnicate', '--pairs', '(1,1)'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bea1b24bdb4ec2f4bdab2aff09914332881de9120b02d428f89bbf9f62412681'),
+    (['np'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '4070d684d8918d01639b2981ce2710aa7787ece80cfd69e0550421bbbedd9a7b'),
+    (['np', 'compare', '--a', '(1,1)'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '6a6aa205c77ebaee27d0133104557f27407b45603c693908e4c1ae44df2d206a'),
+    (['np-poly', '--coeffs', '1,2'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '36b7739ae01044e877f11595e37c4df1969bdc331be927c618d3530cbb33b53f'),
+    (['np-poly', '--coeffs', '1,2', '--p', 'x'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '98cda6a907ffa14fbf71e43df3272b52a3f9c1972dd8ba919df59425eb505616'),
+    (['weil', 'verify', '--minpoly', '1,2'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '3e1cfb791d83b9f0050b3fe9e790b86e9b4f56e6bb9ef038f639c2a5254c00fc'),
+    (['weil-trace', '--beta', '1', '--p', '2'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'e0ab6326531fcd65a22ef29b43b7d77e3e63e8e049d230f5ea6dae163b2e1a76'),
+    (['witt', 'add', '--a', '1'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'ed997fd1be6d48cbc558c48e3d0fbcaac324242d488a3054a070fe33639ef9b9'),
+    (['witt', 'ghost', '--p', '3'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '6b330d313b3af8db765b2fc4d2d8e205669196df92944870a03bb396d95f081a'),
+    (['cartier', 'mul'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'a2919f1daf8fbcd1d60d918478a293ad70da00a842b73148c7554ceb3e1b60a6'),
+    (['dieudonne', 'gmn', '--m', '1'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'badf0b225e9c29495c2d11c58331b733160fab441481c24c812253f2f7bc02f1'),
+    (['semimod', 'from-jumps', '--m', '2', '--n', '3'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'cdf58588d2942d5665dcc681d238b52c0ab12118d53e2b7c9fd00ee48b0f1d2d'),
+    (['poset', 'build', '--h', '4'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '02ffde7431f72614749d8f99664f71ca9535e17fcde0caaa608f7ac8d3b33493'),
+    (['poset', 'chain', '--h', '5', '--d', '2'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '56b7978487e2ef3adb5df1d08e18af5e50606fc1e58cdcbeb47a38945a15fe25'),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help and usage texts pinned on Python 3.11")
+@pytest.mark.parametrize(
+    "argv, code, out_digest, err_digest", USAGE_PINNED, ids=[" ".join(argv) or "(none)" for argv, *_ in USAGE_PINNED]
+)
+def test_usage_pinned(capsys, monkeypatch, argv, code, out_digest, err_digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("ISOLAB_PRECISION", raising=False)
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(err.encode()).hexdigest() == err_digest
+
+
+@pytest.mark.parametrize("argv", [argv for argv, *_ in USAGE_PINNED + PINNED])
+def test_one_command_parser_reads_as_the_full_parser(capsys, monkeypatch, argv):
+    # the full parser is the oracle of every request, on any Python version
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("ISOLAB_PRECISION", raising=False)
+    code = main(argv)
+    out = capsys.readouterr()
+    monkeypatch.setattr(cli, "_command_named", lambda argv: None)
+    assert main(argv) == code
+    assert capsys.readouterr() == out
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["np", "dim", "--pairs", "(1,1)"], "np"),
+        (["--format", "json", "weil-trace", "--beta", "1", "--p", "2", "--n", "1"], "weil-trace"),
+        (["--format=json", "--format", "text", "poset", "build", "--h", "4", "--d", "2"], "poset"),
+        (["--fo", "json", "np", "dim", "--pairs", "(1,1)"], None),
+        (["--help"], None),
+        (["-h", "np"], None),
+        (["--", "np", "dim", "--pairs", "(1,1)"], None),
+        ([], None),
+        (["frobnicate"], None),
+        (["--format", "np", "dim", "--pairs", "(1,1)"], None),
+    ],
+)
+def test_main_builds_the_parser_of_the_named_command(capsys, monkeypatch, argv, command):
+    # once per call, through the module attribute that perfbench traces
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: calls.append(command) or build(command))
+    main(argv)
+    assert calls == [command]
+
+
+def test_a_request_builds_only_its_command(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert main(["np", "dim", "--pairs", "(1,1)"]) == 0
+    assert built == ["isocrystal-lab", "isocrystal-lab np"]
+    built.clear()
+    cli.build_parser()
+    assert built == ["isocrystal-lab"] + ["isocrystal-lab " + name for name in cli._ACTIONS]
