@@ -8,8 +8,9 @@ Polynomials are dense coefficient lists, lowest degree first; every
 routine that returns a polynomial returns a fresh trimmed list.  Without
 a modulus they compute over Q (ints and `Fraction`s), with a prime
 modulus `p` over F_p; the modulus is tested outside the coefficient
-loops.  The algorithms are the classical ones of von zur Gathen and
-Gerhard, *Modern Computer Algebra*, Ch. 14.
+loops.  `poly_primitive`, `poly_prem` and `poly_divexact` compute in Z[x]
+and divide only exactly.  The algorithms are the classical ones of von
+zur Gathen and Gerhard, *Modern Computer Algebra*, Ch. 14.
 """
 
 from fractions import Fraction
@@ -25,17 +26,22 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid far beyond any input used here."""
+    """Trial division by the primes up to 37, then deterministic
+    Miller-Rabin, valid far beyond any input used here."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
+    if n < 1369:
+        return True  # a composite below 37^2 has a prime factor <= 37
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
+    # the bases 2 and 3 alone decide every n < 1,373,653 (Pomerance, Selfridge
+    # and Wagstaff, Math. Comp. 35, 1980)
+    for a in (2, 3) if n < 1_373_653 else _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -283,6 +289,51 @@ def poly_gcd(a, b, p=None):
         return [c * inv % p for c in a]
     lead = Fraction(a[-1])
     return [c / lead for c in a]
+
+
+def poly_primitive(a):
+    """a over its content: the primitive positive multiple of an integer a."""
+    c = gcd(*a)
+    return [x // c for x in a] if c > 1 else list(a)
+
+
+def poly_prem(a, b):
+    """Primitive pseudo-remainder of integer polynomials: the remainder of
+    |lead b|^(deg a - deg b + 1) a by a nonzero trimmed b over Z, over its
+    content.  It is the primitive positive multiple of the remainder over
+    Q, so it has the same signs; each step scales by only the positive
+    factor it needs to cancel the top coefficient in Z."""
+    a = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    low = b[:-1]
+    for i in range(len(a) - 1, db - 1, -1):
+        top = a.pop()
+        if top:
+            # s a - c x^(i - db) b cancels top x^i for s = |lead| / g > 0
+            g = gcd(top, lead)
+            s, c = abs(lead) // g, top // g if lead > 0 else -top // g
+            if s != 1:
+                a = [x * s for x in a]
+            for j, bj in enumerate(low, i - db):
+                a[j] -= c * bj
+    return poly_primitive(_trim(a))
+
+
+def poly_divexact(a, b):
+    """a / b for integer polynomials, b a nonzero trimmed divisor of a over
+    Z; by Gauss's lemma any primitive b that divides a over Q is one."""
+    a = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] // lead
+        if c:
+            q[i - db] = c
+            for j, bj in enumerate(b, i - db):
+                a[j] -= c * bj
+    return _trim(q)
 
 
 def poly_mulmod(a, b, f, p=None):

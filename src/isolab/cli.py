@@ -164,7 +164,9 @@ def _emit_coordinates(args, w):
 
 def _emit_slopes(args, vp, **extra):
     slopes = [str(s) for s in vp.slopes()]
-    _emit(args, " ".join(slopes), {"slopes": slopes, "vertices": [list(v) for v in vp.vertices], **extra})
+    # each root at 0 has valuation +infinity and prints as "inf"
+    text = " ".join(slopes + ["inf"] * vp.infinite_multiplicity)
+    _emit(args, text, {"slopes": slopes, "vertices": [list(v) for v in vp.vertices], **extra})
 
 
 # ---------------------------------------------------------------------------

@@ -370,9 +370,10 @@ def np_of_polynomial(coefficients, p):
 
     `coefficients` lists gamma_0 .. gamma_h for g = sum gamma_j T^(h-j);
     gamma_0 must be 1.  The hull's slopes are the p-adic valuations of the
-    roots of g in non-decreasing order.
+    roots of g in non-decreasing order.  Int coefficients stay ints; any
+    other coefficient is read as a `Fraction`.
     """
-    coeffs = [Fraction(c) for c in coefficients]
+    coeffs = [c if isinstance(c, int) else Fraction(c) for c in coefficients]
     if not coeffs or coeffs[0] != 1:
         raise InputError("polynomial must be monic (leading coefficient 1 first)")
     require_prime(p)

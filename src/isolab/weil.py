@@ -6,10 +6,10 @@ together with (p, n), q = p^n.  Verification is fully exact:
 * irreducibility over Q by integer factorization (small degrees),
 * the functional equation T^e f(q/T) = f(0) f(T) coefficient by
   coefficient,
-* the root-modulus condition via Sturm sequences on the real Weil
-  polynomial h, f(T) = T^g h(T + q/T), read off f by integer
-  subtraction; h is the minimal polynomial of the totally real element
-  pi + q/pi, so no floating point is ever consulted.
+* the root-modulus condition via Sturm sequences over Z, by primitive
+  pseudo-remainders, on the real Weil polynomial h, f(T) = T^g h(T + q/T),
+  read off f by integer subtraction; h is the minimal polynomial of the
+  totally real element pi + q/pi, so no floating point is ever consulted.
 
 Classification follows the three-way case split (rational sqrt(q) /
 irrational real sqrt(q) / CM) and computes the division-algebra index as
@@ -26,12 +26,14 @@ from ._arith import (
     factor_degrees,
     poly_add,
     poly_deriv,
+    poly_divexact,
     poly_divmod,
     poly_eval,
-    poly_gcd,
     poly_mul,
     poly_mulmod,
     poly_powmod,
+    poly_prem,
+    poly_primitive,
     poly_sub,
     poly_trim,
     rank,
@@ -238,52 +240,58 @@ def _int_poly_divides(d, f):
 
 
 def _sturm_chain(f):
-    f = poly_trim(f)
-    chain = [f, poly_deriv(f)]
+    """Sturm sequence of a primitive integer f by primitive pseudo-remainders.
+
+    Each entry is a positive multiple of the classical entry over Q, so the
+    sign variations agree at every point.  The last entry is gcd(f, f') up
+    to a constant, primitive, so it divides f over Z.
+    """
+    chain = [f, poly_primitive(poly_deriv(f))]
     while len(chain[-1]) > 1:
-        r = poly_divmod(chain[-2], chain[-1])[1]
+        r = poly_prem(chain[-2], chain[-1])
         if not r:
             break
         chain.append([-c for c in r])
     return [c for c in chain if c]
 
 
-def _sign_variations(chain, x):
+def _sign_variations(chain, x, infinity):
+    """Sign changes along the chain at x, or at the infinity of sign
+    `infinity` when x is None.  At x = n/d, d > 0, d^deg(g) g(x) is an int
+    of the sign of g(x): Horner with the powers of d folded in."""
     signs = []
-    for poly in chain:
-        v = poly_eval(poly, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    for g in chain:
+        if x is None:
+            v = g[-1] * infinity ** (len(g) - 1)
+        else:
+            v, dk = 0, 1
+            for c in reversed(g):
+                v = v * x.numerator + c * dk
+                dk *= x.denominator
+        if v:
+            signs.append(v > 0)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _sign_variations_inf(chain, positive):
-    signs = []
-    for poly in chain:
-        lead = poly[-1]
-        deg = len(poly) - 1
-        s = 1 if lead > 0 else -1
-        if not positive and deg % 2 == 1:
-            s = -s
-        signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _squarefree_part(f):
-    f = poly_trim(f)
-    if len(f) <= 2:
-        return f
-    g = poly_gcd(f, poly_deriv(f))
-    return f if len(g) == 1 else poly_divmod(f, g)[0]
 
 
 def count_real_roots(f, lower=None, upper=None):
-    """Distinct real roots of f in (lower, upper]; None endpoint = infinite."""
-    f = _squarefree_part(f)
+    """Distinct real roots of a nonzero f in (lower, upper]; a None endpoint
+    is infinite.  f has int or `Fraction` coefficients; it is scaled once to
+    a primitive integer polynomial, which has the same roots."""
+    f = poly_trim(f)
+    if not all(isinstance(c, int) for c in f):
+        f = [Fraction(c) for c in f]
+        den = lcm(*(c.denominator for c in f))
+        f = [int(c * den) for c in f]
+    if not f:
+        raise InputError("every real number is a root of the zero polynomial")
+    if lower is not None and upper is not None and lower > upper:
+        raise InputError("empty interval: lower %s > upper %s" % (lower, upper))
+    f = poly_primitive(f)
     chain = _sturm_chain(f)
-    va = _sign_variations(chain, lower) if lower is not None else _sign_variations_inf(chain, positive=False)
-    vb = _sign_variations(chain, upper) if upper is not None else _sign_variations_inf(chain, positive=True)
-    return va - vb
+    if len(chain[-1]) > 1:
+        # repeated factors: count the roots of the squarefree part f / gcd(f, f')
+        chain = _sturm_chain(poly_divexact(f, chain[-1]))
+    return _sign_variations(chain, lower, -1) - _sign_variations(chain, upper, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +325,10 @@ def _power_vectors(x, f):
 
 def _roots_all_real_and_bounded(h, q):
     """All roots of h real, and every root beta satisfies beta^2 <= 4q."""
+    # h is irreducible (see weil_verify), so squarefree: its roots are all
+    # real when it has deg h distinct real roots
     h = poly_trim(h)
-    if count_real_roots(h) != len(_squarefree_part(h)) - 1:
+    if count_real_roots(h) != len(h) - 1:
         return False
     # polynomial with roots beta_i^2: C(t) = A(t)^2 - t B(t)^2 where
     # h(x) = A(x^2) + x B(x^2)
@@ -332,7 +342,7 @@ def _roots_all_real_and_bounded(h, q):
         D = D[1:]  # boundary roots beta^2 = 4q are allowed
     if not D:
         return True
-    return count_real_roots(D, lower=Fraction(0), upper=None) == 0
+    return count_real_roots(D, lower=0) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,11 @@ from isolab._arith import (
     poly_eval,
     poly_gcd,
     poly_mul,
+    poly_divexact,
     poly_mulmod,
     poly_powmod,
+    poly_prem,
+    poly_primitive,
     poly_sub,
     power,
     rank,
@@ -56,6 +59,20 @@ class TestIntegers:
     @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
     def test_strong_pseudoprimes_are_composite(self, n):
         assert not is_prime(n)
+
+    def test_is_prime_against_a_sieve(self):
+        bound = 2 * 10**5
+        sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 2)
+        for n in range(2, isqrt(bound) + 1):
+            if sieve[n]:
+                sieve[n * n :: n] = bytearray(len(range(n * n, bound, n)))
+        assert [n for n in range(bound) if is_prime(n)] == [n for n in range(bound) if sieve[n]]
+
+    # 37^2 and the least strong pseudoprimes to the bases 2, 3 and to 2, 3,
+    # 5, each with the largest prime below it
+    @pytest.mark.parametrize("n, prime", [(1369, False), (1367, True), (1373653, False), (1373639, True), (25326001, False)])
+    def test_around_the_base_switches(self, n, prime):
+        assert is_prime(n) == prime
 
     def test_large_primes(self):
         assert is_prime(2**61 - 1) and is_prime(1000000007)
@@ -233,6 +250,31 @@ class TestPolynomialsOverQ:
         assert poly_mulmod([0, 1], [0, 1], f) == [-2]
         assert poly_powmod([0, 1], 5, f) == [0, 4]
         assert poly_powmod([3], -1, f) == [1]
+
+
+class TestPolynomialsOverZ:
+    def test_prem_is_the_primitive_positive_multiple_of_the_remainder(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            a = [rng.randint(-9, 9) for _ in range(rng.randrange(0, 8))]
+            b = [rng.randint(-9, 9) for _ in range(rng.randrange(0, 5))] + [rng.choice((-6, -1, 1, 4))]
+            r = poly_prem(a, b)
+            rq = poly_divmod(a, b)[1]
+            assert len(r) == len(rq) and all(type(c) is int for c in r)
+            assert not r or gcd(*r) == 1
+            # r = lambda rq with lambda = r_top / rq_top > 0
+            assert all(x * rq[-1] == y * r[-1] for x, y in zip(r, rq))
+            assert not r or r[-1] * rq[-1] > 0
+
+    def test_primitive_and_exact_division(self):
+        assert poly_primitive([-4, 6, 0, 2]) == [-2, 3, 0, 1]
+        assert poly_primitive([0, -3]) == [0, -1]
+        assert poly_primitive([]) == []
+        rng = random.Random(17)
+        for _ in range(200):
+            a = [rng.randint(-9, 9) for _ in range(rng.randrange(1, 6))] + [rng.choice((-2, 1, 3))]
+            b = [rng.randint(-9, 9) for _ in range(rng.randrange(0, 5))] + [rng.choice((-5, -1, 1, 2))]
+            assert poly_divexact(poly_mul(a, b), b) == a
 
 
 class TestTeichmullerDigits:

@@ -87,6 +87,26 @@ class TestSubcommands:
         proc = run_cli("np-poly", "--coeffs", "1,0,-5,-125", "--p", "5")
         assert proc.stdout.strip() == "1/2 1/2 2"
 
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["np-poly", "--coeffs", "1,0", "--p", "2"], "inf\n"),
+            (
+                ["--format", "json", "np-poly", "--coeffs", "1,0", "--p", "2"],
+                '{"infinite_multiplicity": 1, "slopes": [], "vertices": [[0, 0]]}\n',
+            ),
+            # T^2 (T + 2): one root of valuation 1, two at 0
+            (["np-poly", "--coeffs", "1,2,0,0", "--p", "2"], "1 inf inf\n"),
+            (
+                ["--format", "json", "np-poly", "--coeffs", "1,2,0,0", "--p", "2"],
+                '{"infinite_multiplicity": 2, "slopes": ["1"], "vertices": [[0, 0], [1, 1]]}\n',
+            ),
+        ],
+    )
+    def test_np_poly_roots_at_zero(self, capsys, argv, out):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
     def test_weil_classify_json(self):
         proc = run_cli("--format", "json", "weil", "classify", "--minpoly", "1,2,8", "--p", "2", "--n", "3")
         data = json.loads(proc.stdout)

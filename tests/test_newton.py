@@ -1,5 +1,6 @@
 """Newton polygon core: construction, duality, order, regions, hulls."""
 
+import random
 from fractions import Fraction
 from itertools import accumulate, groupby
 from math import gcd, lcm
@@ -380,6 +381,17 @@ class TestPolynomialPolygon:
         vp = np_of_polynomial([1, 0, -3, 0], 3)
         assert vp.infinite_multiplicity == 1
         assert vp.slopes() == [Fraction(1, 2), Fraction(1, 2)]
+
+    def test_int_and_fraction_input_agree(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            p = rng.choice((2, 3, 5, 7))
+            tail = [rng.choice((0, 1, -1)) * rng.randint(1, 6) * p ** rng.randint(0, 4) for _ in range(rng.randrange(1, 7))]
+            coeffs = [1] + tail
+            ints, fracs = np_of_polynomial(coeffs, p), np_of_polynomial([Fraction(c) for c in coeffs], p)
+            assert ints == fracs
+            assert ints.infinite_multiplicity == fracs.infinite_multiplicity
+            assert ints.slopes() == fracs.slopes()
 
     def test_root_valuation_soundness(self):
         # products of linear factors T - u*p^k: slopes are the k's

@@ -4,15 +4,17 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, isqrt
 
 import pytest
 
 from isolab.errors import InputError, IsolabError, PlaceResolutionError
-from isolab._arith import poly_mul
+from isolab._arith import poly_deriv, poly_divmod, poly_eval, poly_gcd, poly_mul, poly_primitive, poly_trim
 from isolab.weil import (
     HondaTateData,
     WeilRejection,
+    _sturm_chain,
     albert_classify,
     count_real_roots,
     field_stable_under_power,
@@ -57,6 +59,117 @@ class TestSturm:
 
     def test_no_real_roots(self):
         assert count_real_roots([1, 0, 1]) == 0  # x^2 + 1
+
+    def test_empty_interval_refused(self):
+        with pytest.raises(InputError, match="empty interval"):
+            count_real_roots([-1, 0, 1], 2, -2)
+        with pytest.raises(InputError, match="empty interval"):
+            count_real_roots([-1, 0, 1], Fraction(1, 2), 0)
+        assert count_real_roots([-1, 0, 1], 1, 1) == 0
+        assert count_real_roots([-1, 0, 1], Fraction(-1), -1) == 0
+
+    @pytest.mark.parametrize("f", [[], [0], [0, 0], [Fraction(0)]])
+    def test_zero_polynomial_refused(self, f):
+        # every real number is a root: no count is right
+        with pytest.raises(InputError, match="zero polynomial"):
+            count_real_roots(f)
+
+    def test_constants_and_repeated_roots(self):
+        assert count_real_roots([5]) == 0
+        assert count_real_roots([Fraction(-1, 3)], 0, 1) == 0
+        f = poly_mul(poly_mul([-1, 1], [-1, 1]), [2, 1])  # (x-1)^2 (x+2)
+        assert count_real_roots(f) == 2
+        assert count_real_roots(f, lower=0, upper=1) == 1  # the root 1 is in (0, 1]
+        assert count_real_roots(f, lower=1, upper=None) == 0
+        assert count_real_roots([Fraction(c, 6) for c in f], -2, 1) == 1
+
+    def test_counts_match_fraction_oracle_exhaustively(self):
+        # every integer polynomial of degree <= 4 with coefficients in [-2, 2],
+        # f and -f together, on endpoints None and k/2 for |k| <= 8 (ints
+        # where k is even)
+        points = [k // 2 if k % 2 == 0 else Fraction(k, 2) for k in range(-8, 9)]
+        for coeffs in product(range(-2, 3), repeat=5):
+            f = poly_trim(coeffs)
+            if f and f[-1] > 0:
+                _assert_counts_match(f, points)
+                _assert_chain_positive_multiple(f)
+
+    def test_counts_match_fraction_oracle_on_repeated_factors(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            f, roots = [rng.choice((-3, -1, 1, 2))], []
+            while len(f) < 10:
+                if rng.random() < 0.6:
+                    a, b = rng.randint(1, 3), rng.randint(-6, 6)  # root -b/a
+                    factor = [b, a]
+                    roots.append(Fraction(-b, a))
+                else:
+                    factor = [rng.randint(-4, 4), rng.randint(-3, 3), rng.choice((-2, 1, 3))]
+                for _ in range(rng.choice((1, 1, 2, 3))):
+                    if len(f) + len(factor) - 2 < 11:
+                        f = poly_mul(f, factor)
+            points = sorted(set(roots) | {Fraction(rng.randint(-16, 16), 2) for _ in range(6)})
+            _assert_counts_match(f, points)
+            _assert_counts_match([Fraction(c, 7) for c in f], points[:3])
+            _assert_chain_positive_multiple(f)
+
+
+# -- the oracle of count_real_roots: Sturm chains by remainders and gcds over
+# Q (`Fraction`s), taken on the squarefree part
+
+
+def _oracle_sturm_chain(f):
+    f = poly_trim(f)
+    chain = [f, poly_deriv(f)]
+    while len(chain[-1]) > 1:
+        r = poly_divmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return [c for c in chain if c]
+
+
+def _oracle_squarefree_part(f):
+    f = poly_trim(f)
+    if len(f) <= 2:
+        return f
+    g = poly_gcd(f, poly_deriv(f))
+    return f if len(g) == 1 else poly_divmod(f, g)[0]
+
+
+def _oracle_variations(chain, x, infinity):
+    """Sign changes along the chain at x, or at infinity (+1 or -1) for None."""
+    signs = []
+    for g in chain:
+        v = poly_eval(g, x) if x is not None else g[-1] * infinity ** (len(g) - 1)
+        if v != 0:
+            signs.append(v > 0)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _assert_counts_match(f, points):
+    """count_real_roots of f and of -f against the oracle of f on the whole
+    line and on each interval of its cut at the sorted points, the two
+    outer ones infinite."""
+    chain = _oracle_sturm_chain(_oracle_squarefree_part(f))
+    ends = [None, *points, None]
+    var = [_oracle_variations(chain, None, -1)]
+    var += [_oracle_variations(chain, x, 0) for x in points]
+    var.append(_oracle_variations(chain, None, 1))
+    for g in (f, [-c for c in f]):
+        assert count_real_roots(g) == var[0] - var[-1], g
+        for x, y, vx, vy in zip(ends, ends[1:], var, var[1:]):
+            assert count_real_roots(g, x, y) == vx - vy, (g, x, y)
+
+
+def _assert_chain_positive_multiple(f):
+    """Each entry of the integer chain is a positive multiple of the Fraction
+    chain's entry, so both have the same signs everywhere."""
+    ours, oracle = _sturm_chain(poly_primitive(f)), _oracle_sturm_chain(f)
+    assert len(ours) == len(oracle), f
+    for a, b in zip(ours, oracle):
+        assert len(a) == len(b) and a[-1] * b[-1] > 0, f
+        assert [x * b[-1] for x in a] == [y * a[-1] for y in b], f
 
 
 class TestVerify:
