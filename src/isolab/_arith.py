@@ -19,15 +19,19 @@ from operator import mul
 
 from .errors import InputError
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin on the 13 prime bases up to 41 is proven to decide every n
+# below this bound, the least strong pseudoprime to all of them (Sorenson
+# and Webster, Math. Comp. 86, 2017)
+MAX_PRIME = 3_317_044_064_679_887_385_961_981
 
 # ---------------------------------------------------------------------------
 # integers
 
 
 def is_prime(n):
-    """Trial division by the primes up to 37, then deterministic
-    Miller-Rabin, valid far beyond any input used here."""
+    """Trial division by the primes up to 41, then Miller-Rabin on those
+    bases: proven for n < MAX_PRIME, a strong probable-prime test above."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -55,9 +59,12 @@ def is_prime(n):
 
 
 def require_prime(p):
-    """Raise InputError unless p is a prime."""
+    """Raise InputError unless p is a prime below MAX_PRIME, where
+    `is_prime` is proven."""
     if not is_prime(p):
         raise InputError("p = %r is not prime" % (p,))
+    if p >= MAX_PRIME:
+        raise InputError("p = %d is not below the cap of %d, up to which primality is proven" % (p, MAX_PRIME))
 
 
 def factor_int(n):

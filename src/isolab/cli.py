@@ -48,6 +48,7 @@ from .newton import (
     render_pairs,
 )
 from .poset import (
+    NPPoset,
     check_endpoints,
     dot_export,
     isoclinic_polygon,
@@ -420,7 +421,8 @@ def _emit_chain(args, chain):
 
 def _poset_chain(args):
     frm, to = _poset_endpoints(args)
-    _emit_chain(args, longest_chain(_poset(args), frm, to))
+    poset = NPPoset(args.h, args.d, args.symmetric, interval=(frm, to))
+    _emit_chain(args, longest_chain(poset, frm, to))
 
 
 def _poset_witness(args):

@@ -2,15 +2,19 @@
 
 Elements are enumerated as integer vertex paths (strictly increasing
 segment slopes in [0,1], integral breakpoints), the polygons' own format,
-with no `Fraction` anywhere; the order is the exact pointwise comparison,
-with the isoclinic polygon at the bottom and the ordinary polygon on top.
-Each element's strict up-set is a Python-int bitset, read off the
-polygons' integer height vectors; covers are the transitive reduction
-(Aho, Garey and Ullman, SIAM J. Comput. 1972).  The poset is ranked
-(checked, not assumed) and the rank offsets reproduce the lattice-point
-dimension formulas.
+in slope-list order and with no `Fraction` anywhere; the order is the
+exact pointwise comparison, with the isoclinic polygon at the bottom and
+the ordinary polygon on top.  Each element's strict up-set is a
+Python-int bitset, read off the polygons' integer height vectors; covers
+are the transitive reduction (Aho, Garey and Ullman, SIAM J. Comput.
+1972).  The poset is ranked (checked, not assumed) and the rank offsets
+reproduce the lattice-point dimension formulas.  Chains and witnesses
+are built on the interval between their ends alone: a specialization
+runs along any saturated chain of that interval (Oort, Ann. of Math. 152,
+2000).
 """
 
+from bisect import bisect_right
 from itertools import groupby
 from math import lcm
 
@@ -35,9 +39,11 @@ __all__ = [
     "dot_export",
 ]
 
-# The number of polygons grows exponentially with h.  On a 2-vCPU Xeon a
-# CLI call at (18, 9), 1,882 elements, takes about 1 s; (20, 10), 3,959
-# elements, takes 2.5 s and (22, 11) 14 s.
+# The number of polygons grows exponentially with h, about doubling with
+# each step of 2.  On a 2-vCPU Xeon a CLI `poset build` at (18, 9), 1,882
+# elements, takes 0.15 s after the interpreter starts; with the cap
+# raised, (20, 10), 3,959 elements, takes 0.25 s and (22, 11), 8,179
+# elements, 0.5 s and 43 MiB.
 MAX_POSET_HEIGHT = 18
 
 
@@ -53,35 +59,61 @@ def check_endpoints(h, d, symmetric=False):
         raise InputError("poset height %d exceeds the cap of %d" % (h, MAX_POSET_HEIGHT))
 
 
-def enumerate_polygons(h, d, symmetric=False):
-    """All Newton polygons from (0,0) to (h,d), by breakpoint recursion,
-    sorted by slope list."""
+def _edges(h, d):
+    """Every edge (rise, span) that a polygon to (h,d) can have, by
+    increasing slope rise/span, the longer edge first among equal slopes;
+    and for each edge the index of the first steeper one.  Every span
+    divides L, so rise * (L // span) is L times the slope."""
+    L = lcm(*range(1, h + 1))
+    edges = [(rise, span) for span in range(1, h + 1) for rise in range(min(span, d) + 1) if span - rise <= h - d]
+    edges.sort(key=lambda e: (e[0] * (L // e[1]), -e[1]))
+    slopes = [rise * (L // span) for rise, span in edges]
+    return edges, [bisect_right(slopes, s) for s in slopes]
+
+
+def enumerate_polygons(h, d, symmetric=False, band=None):
+    """All Newton polygons from (0,0) to (h,d), in increasing slope-list
+    order.  With `band` = (lower, upper), two polygons with these
+    endpoints, only the polygons on or above `lower` and on or below
+    `upper` at every abscissa.
+
+    The slope lists compare at their first difference, so a depth-first
+    walk over first edges by increasing slope, the longer of two equal
+    slopes first, meets the polygons in order.  An edge is taken only when
+    a strictly steeper edge within slope 1 can still close the path, so
+    without a band every branch ends in a polygon.
+    """
     check_endpoints(h, d, symmetric)
+    if band is not None:
+        # both bounds at one denominator L: polygon heights are ys[x] / L
+        (L1, lo), (L2, hi) = (z.heights() for z in band)
+        L = lcm(L1, L2)
+        lo, hi = [y * (L // L1) for y in lo], [y * (L // L2) for y in hi]
+    edges, after = _edges(h, d)
     out = []
 
-    def extend(path, last_rise, last_span):
-        # slopes compare by cross-multiplying (rise, span) pairs
+    def extend(path, start):
         x, y = path[-1]
-        if x == h:
-            if y == d:
-                out.append(NewtonPolygon(path))
-            return
-        for x2 in range(x + 1, h + 1):
-            span = x2 - x
-            for y2 in range(y, min(d, y + span) + 1):
-                rise = y2 - y
-                # strict increase keeps breakpoints genuine: a polygon with
-                # a long constant-slope stretch is produced in one step only
-                if rise * last_span <= last_rise * span:
-                    continue
-                extend(path + [(x2, y2)], rise, span)
+        dx, dy = h - x, d - y
+        for k in range(start, len(edges)):
+            rise, span = edges[k]
+            if rise * dx > dy * span:
+                break  # steeper than the chord to (h,d): the rest cannot close
+            if span > dx or span - rise > dx - dy:
+                continue  # past x = h, or the rest would need a slope above 1
+            if band is not None and not all(
+                span * lo[x + t] <= L * (span * y + rise * t) <= span * hi[x + t] for t in range(1, span + 1)
+            ):
+                continue
+            if rise * dx < dy * span:
+                extend(path + [(x + span, y + rise)], after[k])
+            elif span == dx:  # along the chord, only to its end
+                z = NewtonPolygon(path + [(h, d)])
+                if not symmetric or z.is_symmetric():
+                    out.append(z)
 
-    extend([(0, 0)], -1, 1)
-    polys = [z for z in out if not symmetric or z.is_symmetric()]
-    # slope lists compare as the height vectors at one denominator: both
-    # are decided at the first unit step where the slopes differ
-    L = lcm(*range(1, h + 1))
-    return sorted(polys, key=lambda z: [y * (L // z.heights()[0]) for y in z.heights()[1]])
+    extend([(0, 0)], 0)
+    return out
 
 
 def isoclinic_polygon(h, d):
@@ -111,7 +143,8 @@ def _up_sets(polygons):
     """
     n = len(polygons)
     L = lcm(*(z.heights()[0] for z in polygons))
-    columns = zip(*([y * (L // Lz) for y in ys] for Lz, ys in (z.heights() for z in polygons)))
+    # every polygon has height 0 at x = 0 and d at x = h
+    columns = zip(*([y * (L // Lz) for y in ys[1:-1]] for Lz, ys in (z.heights() for z in polygons)))
     up = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
     for col in columns:
         lower = 0
@@ -124,23 +157,47 @@ def _up_sets(polygons):
     return up
 
 
+def _not_in_poset(np):
+    return InputError("polygon %s not in this poset" % render_pairs(np.pairs()))
+
+
+_INCOMPARABLE = "endpoints are incomparable (or given in the wrong order)"
+
+
 class NPPoset:
     """Poset of all polygons with endpoints (h,d); optionally the
-    symmetric sub-poset.  `covers[i]` lists, increasing, the indices
-    covering element i."""
+    symmetric sub-poset.  With `interval` = (frm, to), two elements with
+    frm preceding or equal to to, only the interval [frm, to] of that
+    poset, which is convex: its covers are the poset's covers between its
+    elements.  `covers[i]` lists, increasing, the indices covering
+    element i."""
 
-    def __init__(self, h, d, symmetric=False):
+    def __init__(self, h, d, symmetric=False, interval=None):
         self.h, self.d, self.symmetric = h, d, symmetric
-        self.elements = enumerate_polygons(h, d, symmetric)
+        band = None
+        if interval is not None:
+            for z in interval:
+                if (z.h, z.d) != (h, d) or symmetric and not z.is_symmetric():
+                    raise _not_in_poset(z)
+            if not np_precedes(*interval):
+                raise InputError(_INCOMPARABLE)
+            # frm lies on or above every element of [frm, to], to on or below
+            band = interval[::-1]
+        self.elements = enumerate_polygons(h, d, symmetric, band)
         self._index = {z: i for i, z in enumerate(self.elements)}
         self._up = up = _up_sets(self.elements)
-        # j covers i when nothing above i lies below j
+        # j covers i when nothing above i lies below j.  A polygon lying
+        # higher has the larger index, so the largest index left in up[i]
+        # is minimal there, a cover; no other cover lies above it, so its
+        # up-set leaves the mask with it.
         covers = []
-        for mask in up:
-            above = 0
-            for k in _bits(mask):
-                above |= up[k]
-            covers.append(list(_bits(mask & ~above)))
+        for rest in up:
+            found = []
+            while rest:
+                k = rest.bit_length() - 1
+                found.append(k)
+                rest &= ~(up[k] | 1 << k)
+            covers.append(found[::-1])
         self.covers = covers
         self.ranks = self._compute_ranks()
 
@@ -171,16 +228,18 @@ class NPPoset:
     def index_of(self, np):
         i = self._index.get(np)
         if i is None:
-            raise InputError("polygon %s not in this poset" % render_pairs(np.pairs()))
+            raise _not_in_poset(np)
         return i
 
     def bottom(self):
-        """The isoclinic polygon, the unique minimum."""
-        return isoclinic_polygon(self.h, self.d)
+        """The unique minimum: the isoclinic polygon, or the interval's
+        lower end; it lies highest, so its slope list comes last."""
+        return self.elements[-1]
 
     def top(self):
-        """The ordinary polygon, the unique maximum."""
-        return ordinary_polygon(self.h, self.d)
+        """The unique maximum: the ordinary polygon, or the interval's
+        upper end."""
+        return self.elements[0]
 
 
 def poset_build(h, d, symmetric=False):
@@ -194,13 +253,12 @@ def longest_chain(poset, frm, to):
     if i == j:
         return [poset.elements[i]]
     if not poset.less(i, j):
-        raise InputError("endpoints are incomparable (or given in the wrong order)")
-    # longest path in the cover DAG restricted to the interval [frm, to]
+        raise InputError(_INCOMPARABLE)
+    # longest path in the cover DAG over the interval [frm, to] alone; i has
+    # the least rank there, and every other element is reached from it
+    between = [k for k in _bits(poset._up[i]) if k == j or poset.less(k, j)]
     best = {i: [i]}
-    order = sorted(range(len(poset.elements)), key=lambda k: poset.ranks[k])
-    for k in order:
-        if k not in best:
-            continue
+    for k in [i] + sorted(between, key=poset.ranks.__getitem__):
         for nxt in poset.covers[k]:
             if nxt == j or poset.less(nxt, j):
                 cand = best[k] + [nxt]
@@ -213,6 +271,8 @@ def specialization_witness(beta, gamma):
     """A saturated chain from gamma down to beta in the full poset of
     their common endpoints: the combinatorial shadow of specializing a
     generic fiber of polygon gamma to a special fiber of polygon beta.
+    Only the interval [beta, gamma] is built; a saturated chain between
+    its ends runs inside it.
 
     Requires beta < gamma (beta on-or-above gamma).
     """
@@ -220,8 +280,7 @@ def specialization_witness(beta, gamma):
         raise InputError("polygons must share endpoints")
     if not np_precedes(beta, gamma):
         raise InputError("need beta preceding gamma (beta on-or-above gamma)")
-    poset = poset_build(beta.h, beta.d, symmetric=False)
-    chain = longest_chain(poset, beta, gamma)
+    chain = longest_chain(NPPoset(beta.h, beta.d, interval=(beta, gamma)), beta, gamma)
     return list(reversed(chain))
 
 

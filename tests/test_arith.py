@@ -12,6 +12,7 @@ from operator import mul
 import pytest
 
 from isolab._arith import (
+    MAX_PRIME,
     base_p_digits,
     divisors,
     euler_phi,
@@ -32,6 +33,7 @@ from isolab._arith import (
     poly_sub,
     power,
     rank,
+    require_prime,
     vp,
 )
 from isolab.cartier import CartierContext
@@ -56,9 +58,22 @@ class TestIntegers:
         expected = set(PRIMES_16)
         assert [n for n in range(-3, 2**16) if is_prime(n)] == sorted(expected)
 
-    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    # the last is 399165290221 * 798330580441, the least strong pseudoprime
+    # to every prime base up to 37
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 318665857834031151167461])
     def test_strong_pseudoprimes_are_composite(self, n):
         assert not is_prime(n)
+
+    def test_require_prime_stops_where_the_proof_does(self):
+        # MAX_PRIME is a strong pseudoprime to every base used, so is_prime
+        # cannot tell it from a prime; require_prime refuses it by the cap
+        assert is_prime(MAX_PRIME)
+        require_prime(3317044064679887385961813)  # the largest prime below the cap
+        for p in (MAX_PRIME, 2**89 - 1):
+            with pytest.raises(InputError, match="cap of %d" % MAX_PRIME):
+                require_prime(p)
+        with pytest.raises(InputError, match="not prime"):
+            require_prime(318665857834031151167461)
 
     def test_is_prime_against_a_sieve(self):
         bound = 2 * 10**5

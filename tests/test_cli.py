@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from isolab._arith import MAX_PRIME
 from isolab.cartier import MAX_ARTIN_HASSE_DEGREE, MAX_WORKING_PRECISION, artin_hasse
 from isolab import cli
 from isolab.cli import MAX_POLYGON_HEIGHT, MAX_PRECISION, main, parse_polygon
@@ -231,6 +232,7 @@ class TestExitCodes:
             ["cartier", "artin-hasse", "--p", "0"],
             ["cartier", "artin-hasse", "--p", "1"],
             ["cartier", "artin-hasse", "--p", "4"],
+            ["np-poly", "--coeffs", "1,1", "--p", "318665857834031151167461"],
         ],
     )
     def test_bad_field_or_operand_is_2(self, argv):
@@ -276,6 +278,7 @@ class TestExitCodes:
             (["semimod", "enumerate", "--m", "2", "--n", "2001"], MAX_SEMIMODULES),
             (["weil-trace", "--beta", "1", "--p", "2", "--n", "1000000000"], MAX_Q_BITS),
             (["weil", "verify", "--minpoly", "1,-1,2", "--p", "2", "--n", "1000000000"], MAX_Q_BITS),
+            (["np-poly", "--coeffs", "1,1", "--p", str(MAX_PRIME)], MAX_PRIME),
         ],
     )
     def test_size_over_its_cap_is_2(self, argv, cap):
@@ -642,7 +645,10 @@ def test_pinned_request(capsys, monkeypatch, argv, code, digest):
 # errors, with COLUMNS=80 (argparse wraps help to the terminal width).
 # Generated with the parser that registered every command on every call;
 # argparse words these texts differently across Python versions, and the
-# rows were taken on 3.11.
+# rows were taken on 3.11.  The last five rows are poset chain and witness
+# requests whose ends are out of order, out of the poset or equal, taken
+# while chains were still built on the full poset: the interval build must
+# check its ends first, in the same order.
 USAGE_PINNED = [
     (['--help'], 0, 'e5a9ebe1624e13230679ed16de6e000b25ae6255fd3630dc05e781c85755348d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     (['np', '--help'], 0, 'c0903de4baea0f17d9925526689c984ca87fe66fb54b8a13126c655148cfdef6', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -683,6 +689,11 @@ USAGE_PINNED = [
     (['semimod', 'from-jumps', '--m', '2', '--n', '3'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'cdf58588d2942d5665dcc681d238b52c0ab12118d53e2b7c9fd00ee48b0f1d2d'),
     (['poset', 'build', '--h', '4'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '02ffde7431f72614749d8f99664f71ca9535e17fcde0caaa608f7ac8d3b33493'),
     (['poset', 'chain', '--h', '5', '--d', '2'], 64, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '56b7978487e2ef3adb5df1d08e18af5e50606fc1e58cdcbeb47a38945a15fe25'),
+    (['poset', 'chain', '--h', '4', '--d', '2', '--from', 'ord', '--to', 'iso'], 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'caa3269d26966cbb3dc59f357f015c4dca454beab68d470f7365aca0bbfe6759'),
+    (['poset', 'chain', '--h', '6', '--d', '3', '--symmetric', '--from', '(1,2)+(1,0)+(0,1)+(0,1)', '--to', 'ord'], 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '6639118fc367e1a71b1d5f7d9d9899e3bc44124d9802d2230c1a94dd737ea204'),
+    (['poset', 'chain', '--h', '4', '--d', '2', '--from', 'iso', '--to', 'iso'], 0, '219cbcf202ed52a09d366c386ad672ea2a9345ca95f915ce76071718d93e378a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (['poset', 'chain', '--h', '4', '--d', '2', '--from', 'iso', '--to', '(1,1)'], 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'df46e5fa9963eacb80a93f20a0a78ba7fedfa8caed80bedaf4b257dcc426bb5b'),
+    (['poset', 'witness', '--h', '4', '--d', '2', '--from', 'ord', '--to', 'iso'], 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'b176a2e473c71371a0bb19cc58a651427d14cbb4d0ac2df19fd366ce0a642550'),
 ]
 
 

@@ -1,7 +1,7 @@
 """Static check of the package's exactness contract: no floating point and
 no imports hidden inside function bodies anywhere under src/isolab, and
-no `fractions` at all in the modules that work on integer polygons or
-mod p^N."""
+neither `fractions` nor true division `/` in the modules that work on
+integer polygons or mod p^N."""
 
 import ast
 from pathlib import Path
@@ -11,8 +11,9 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "isolab"
 FLOAT_NAMES = {"float", "inf"}
 INEXACT_MATH = {"sqrt", "log", "log2", "log10", "floor", "ceil"}
-# polygons reach poset.py as integer vertex paths and stay integers there;
-# dieudonne.py works mod p^N, its characteristic polynomial by Berkowitz
+# polygons reach poset.py as integer vertex paths and stay integers there,
+# slopes compared by cross-multiplying; dieudonne.py works mod p^N, its
+# characteristic polynomial by Berkowitz.  A `/` there would make a float.
 FRACTION_FREE = {"poset.py", "dieudonne.py"}
 
 
@@ -31,6 +32,9 @@ def violations(path):
             or (node.attr in INEXACT_MATH and isinstance(node.value, ast.Name) and node.value.id == "math")
         ):
             out.append("%s attribute %s" % (where, node.attr))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            if path.name in FRACTION_FREE:
+                out.append("%s true division" % where)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             if in_function:
                 out.append("%s import inside a function" % where)
@@ -73,6 +77,7 @@ def test_module_is_exact(path):
         ("def f():\n    return int(7**0.5)\n", 1),
         ("from math import gcd, isqrt\ny = gcd(4, isqrt(16))\n", 0),
         ("from fractions import Fraction\n", 1),
+        ("def key(rise, span):\n    return rise / span\n", 1),
     ],
 )
 def test_scanner_flags_inexact_code(tmp_path, source, count):

@@ -3,14 +3,27 @@
 import fractions
 import hashlib
 import json
+import re
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import pytest
 
+from isolab import poset
 from isolab.errors import InputError
-from isolab.newton import Comparison, np_compare, np_dim, np_dual, np_from_pairs, np_precedes, np_sdim, render_pairs
+from isolab.newton import (
+    Comparison,
+    NewtonPolygon,
+    np_compare,
+    np_dim,
+    np_dual,
+    np_from_pairs,
+    np_precedes,
+    np_sdim,
+    render_pairs,
+)
 from isolab.poset import (
+    NPPoset,
     dot_export,
     enumerate_polygons,
     isoclinic_polygon,
@@ -25,6 +38,46 @@ from isolab.poset import (
 def oracle_elements(h, d, symmetric):
     polys = [z for z in oracle_enumerate(h, d) if not symmetric or z.is_symmetric()]
     return sorted(polys, key=lambda z: z.slopes())
+
+
+def oracle_breakpoint_dfs(h, d, symmetric):
+    """Every path of strictly steeper edges from (0,0), by breakpoint
+    recursion, kept when it ends at (h,d); then sorted by height vector at
+    one denominator, which orders slope lists."""
+    out = []
+
+    def extend(path, last_rise, last_span):
+        x, y = path[-1]
+        if x == h:
+            if y == d:
+                out.append(NewtonPolygon(path))
+            return
+        for x2 in range(x + 1, h + 1):
+            span = x2 - x
+            for y2 in range(y, min(d, y + span) + 1):
+                rise = y2 - y
+                if rise * last_span > last_rise * span:
+                    extend(path + [(x2, y2)], rise, span)
+
+    extend([(0, 0)], -1, 1)
+    polys = [z for z in out if not symmetric or z.is_symmetric()]
+    L = lcm(*range(1, h + 1))
+    return sorted(polys, key=lambda z: [y * (L // z.heights()[0]) for y in z.heights()[1]])
+
+
+def oracle_longest_chain(P, i, j):
+    """Longest cover path from element i to element j over the whole poset,
+    relaxed in (rank, index) order: the chain every interval must reproduce."""
+    best = {i: [i]}
+    for k in sorted(range(len(P.elements)), key=lambda k: P.ranks[k]):
+        if k not in best:
+            continue
+        for nxt in P.covers[k]:
+            if nxt == j or P.less(nxt, j):
+                cand = best[k] + [nxt]
+                if nxt not in best or len(cand) > len(best[nxt]):
+                    best[nxt] = cand
+    return [P.elements[k] for k in best[j]]
 
 
 def oracle_compare(a, b):
@@ -118,6 +171,11 @@ class TestEnumeration:
         for h in range(1, 8):
             for d in range(h + 1):
                 assert set(enumerate_polygons(h, d)) == oracle_enumerate(h, d)
+
+    def test_slope_order_matches_breakpoint_dfs(self):
+        shapes = [(h, d, False) for h in range(1, 15) for d in range(h + 1)] + [(2 * g, g, True) for g in range(1, 8)]
+        for h, d, symmetric in shapes:
+            assert enumerate_polygons(h, d, symmetric) == oracle_breakpoint_dfs(h, d, symmetric), (h, d, symmetric)
 
     def test_height6_exercise(self):
         # all polygons of height 6 and the symmetric ones among them
@@ -297,6 +355,46 @@ class TestChains:
                 if P.less(i, j):
                     chain = longest_chain(P, a, b)
                     assert len(chain) - 1 == P.ranks[j] - P.ranks[i]
+
+
+class TestIntervals:
+    @pytest.mark.parametrize(
+        "h, d, symmetric",
+        [(h, d, False) for h in range(1, 9) for d in range(h + 1)] + [(2 * g, g, True) for g in range(1, 5)],
+    )
+    def test_interval_matches_full_poset(self, h, d, symmetric):
+        # every comparable pair: the interval's elements, its chain and the
+        # witness equal what the full poset gives
+        P = poset_build(h, d, symmetric)
+        full = P if not symmetric else poset_build(h, d)
+        n = len(P.elements)
+        for i, a in enumerate(P.elements):
+            for j, b in enumerate(P.elements):
+                if i != j and not P.less(i, j):
+                    continue
+                Q = NPPoset(h, d, symmetric, interval=(a, b))
+                assert Q.elements == [P.elements[k] for k in range(n) if k in (i, j) or P.less(i, k) and P.less(k, j)]
+                assert (Q.bottom(), Q.top()) == (a, b)
+                chain = oracle_longest_chain(P, i, j)
+                assert longest_chain(Q, a, b) == longest_chain(P, a, b) == chain
+                witness = oracle_longest_chain(full, full.index_of(a), full.index_of(b))[::-1]
+                assert specialization_witness(a, b) == witness
+
+    @pytest.mark.parametrize(
+        "h, d, symmetric, frm, to, message",
+        [
+            (4, 2, False, ordinary_polygon(4, 2), isoclinic_polygon(4, 2), "endpoints are incomparable"),
+            (6, 3, True, np_from_pairs([(1, 0), (1, 0), (1, 2), (0, 1)]), ordinary_polygon(6, 3), "polygon 2*(1,0)+(1,2)+(0,1) not in"),
+            (4, 2, False, isoclinic_polygon(4, 2), np_from_pairs([(1, 1)]), "polygon (1,1) not in"),
+        ],
+    )
+    def test_interval_ends_checked_before_building(self, monkeypatch, h, d, symmetric, frm, to, message):
+        def refuse(*args):
+            raise AssertionError("enumerated before the ends were checked")
+
+        monkeypatch.setattr(poset, "enumerate_polygons", refuse)
+        with pytest.raises(InputError, match=re.escape(message)):
+            NPPoset(h, d, symmetric, interval=(frm, to))
 
 
 class TestWitness:
