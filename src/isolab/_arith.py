@@ -5,12 +5,14 @@ and p-adic valuations.  Ring and field elements: `power`, the one
 square-and-multiply, and `rank`, the one Gaussian elimination.  Integer
 matrices: `charpoly`, the characteristic polynomial mod n with no division.
 Polynomials are dense coefficient lists, lowest degree first; every
-routine that returns a polynomial returns a fresh trimmed list.  Without
-a modulus they compute over Q (ints and `Fraction`s), with a prime
-modulus `p` over F_p; the modulus is tested outside the coefficient
-loops.  `poly_primitive`, `poly_prem` and `poly_divexact` compute in Z[x]
-and divide only exactly.  The algorithms are the classical ones of von
-zur Gathen and Gerhard, *Modern Computer Algebra*, Ch. 14.
+routine that returns a polynomial returns a fresh trimmed list.  A
+modulus `p` may be a prime, with a divisor of any lead, or any modulus
+with a monic divisor, as p^N in the lift ring; without one they compute
+over Q (ints and `Fraction`s).  `poly_rem` is the one remainder loop:
+reduction in every quotient ring goes through it.  `poly_primitive`,
+`poly_prem` and `poly_divexact` compute in Z[x] and divide only exactly.
+The algorithms are the classical ones of von zur Gathen and Gerhard,
+*Modern Computer Algebra*, Ch. 14.
 """
 
 from fractions import Fraction
@@ -214,7 +216,7 @@ def charpoly(M, modulus):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q (p None) or F_p
+# polynomials over Q (p None), F_p or Z/p^N
 
 
 def poly_trim(a):
@@ -284,11 +286,32 @@ def poly_divmod(a, b, p=None):
     return _trim(q), _trim(a if p is None else [c % p for c in a])
 
 
+def poly_rem(a, f, p=None):
+    """Remainder of a by a nonzero trimmed f, with no quotient built.  The
+    lead of f is inverted once, and not at all when f is monic; then any
+    modulus p serves (p^N in the lift ring), and over Q (p None) int input
+    stays int."""
+    a = list(a)
+    df = len(f) - 1
+    low = f[:-1]
+    inv = None if f[-1] == 1 else pow(f[-1], -1, p) if p is not None else 1 / Fraction(f[-1])
+    for i in range(len(a) - 1, df - 1, -1):
+        c = a.pop()
+        if inv is not None:
+            c *= inv
+        if p is not None:
+            c %= p
+        if c:
+            for j, fj in enumerate(low, i - df):
+                a[j] -= c * fj
+    return _trim(a if p is None else [c % p for c in a])
+
+
 def poly_gcd(a, b, p=None):
     """Monic gcd; empty when a and b are both zero."""
     a, b = poly_trim(a), poly_trim(b)
     while b:
-        a, b = b, poly_divmod(a, b, p)[1]
+        a, b = b, poly_rem(a, b, p)
     if not a:
         return a
     if p is not None:
@@ -344,7 +367,7 @@ def poly_divexact(a, b):
 
 
 def poly_mulmod(a, b, f, p=None):
-    return poly_divmod(_product(a, b), f, p)[1]
+    return poly_rem(_product(a, b), f, p)
 
 
 def poly_powmod(a, e, f, p=None):
@@ -377,7 +400,7 @@ def factor_degrees(coeffs, p):
         if len(g) > 1:
             degrees.extend([k] * ((len(g) - 1) // k))
             f = poly_divmod(f, g, p)[0]
-            w = poly_divmod(w, f, p)[1]
+            w = poly_rem(w, f, p)
     if len(f) > 1:
         degrees.append(len(f) - 1)
     return degrees

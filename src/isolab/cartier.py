@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from ._arith import base_p_digits, euler_phi, power, require_prime
 from .errors import InputError, PrecisionError
-from .unramified import parse_ff, render_ff, unramified_ring
+from .unramified import finite_field, parse_ff, render_ff, unramified_ring
 from .witt import WittElement
 
 __all__ = [
@@ -47,7 +47,7 @@ class CartierContext:
         if vcap < 1:
             raise InputError("V-cap must be >= 1")
         self.p, self.m, self.vcap = p, m, vcap
-        self.field = unramified_ring(p, m, 1).field
+        self.field = finite_field(p, m)
         self.phi = euler_phi(p**m - 1)
 
     def element(self, terms, truncated=False):
@@ -198,13 +198,12 @@ def _working_ring(ctx, N):
 
 def _from_int(ctx, k):
     """The integer k inside the W(F_{p^m}) subring: Teichmuller digits of
-    k on the main diagonal, rows (b, b)."""
+    k on the main diagonal, rows (b, b), already in canonical form."""
     guard = ctx.phi * (base_p_digits(abs(k), ctx.p) + 1) + 2
     ring = _working_ring(ctx, ctx.vcap + guard)
     keys, rest = ring.digit_keys(ring.from_int(k).coeffs, ctx.vcap)
-    raw = [(b, b, ctx.field(r).frobenius(b)) for b, r in enumerate(keys) if any(r)]
-    pg = ctx.p**guard
-    return cartier_normalize(ctx, raw, truncated=any(c % pg for c in rest))
+    table = {(b, b): ctx.field(r).frobenius(b) for b, r in enumerate(keys) if any(r)}
+    return CartierElement(ctx, table, any(c % ctx.p**guard for c in rest))
 
 
 def cartier_normalize(context, raw_terms, truncated=False):

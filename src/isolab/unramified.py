@@ -255,14 +255,8 @@ class UElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return UElement(self.ring, [other * a for a in self.coeffs])
-        other = self._same(other)
         r = self.ring
-        raw = [0] * (2 * r.m - 1) if r.m > 1 else [0]
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    raw[i + j] += a * b
-        return UElement(r, r._reduce_poly(raw))
+        return UElement(r, poly_mulmod(self.coeffs, self._same(other).coeffs, r.modulus, r.pN))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -344,23 +338,6 @@ class UnramifiedRing:
             y = self.sigma(y)
         if y != x:
             raise PrecisionError("sigma^m != id; modulus not unramified-compatible")
-
-    # -- internal -----------------------------------------------------
-
-    def _reduce_poly(self, raw):
-        """Reduce an integer polynomial mod (p^N, hbar)."""
-        f = self.modulus
-        m = self.m
-        raw = list(raw)
-        for i in range(len(raw) - 1, m - 1, -1):
-            c = raw[i]
-            if c:
-                for j in range(m + 1):
-                    raw[i - m + j] -= c * f[j]
-                raw[i] = 0
-        return [c % self.pN for c in raw[:m]]
-
-    # -- public -------------------------------------------------------
 
     def zero(self):
         return UElement(self, [0])

@@ -24,16 +24,15 @@ from math import comb, gcd, isqrt, lcm
 from ._arith import (
     divisors,
     factor_degrees,
-    poly_add,
     poly_deriv,
     poly_divexact,
-    poly_divmod,
     poly_eval,
     poly_mul,
     poly_mulmod,
     poly_powmod,
     poly_prem,
     poly_primitive,
+    poly_rem,
     poly_sub,
     poly_trim,
     rank,
@@ -231,9 +230,9 @@ def _lagrange_integer(xs, ys, g):
 
 
 def _int_poly_divides(d, f):
-    """Does monic integer d divide monic integer f exactly over Z?"""
-    q, r = poly_divmod(f, d)
-    return not r and all(c.denominator == 1 for c in q)
+    """Does monic integer d divide monic integer f exactly over Z?  A monic
+    divisor leaves an integer quotient, so the remainder decides it."""
+    return not poly_rem(f, d)
 
 
 # -- Sturm machinery ---------------------------------------------------------
@@ -313,8 +312,8 @@ def _real_weil_polynomial(f, q):
 
 
 def _power_vectors(x, f):
-    """Coordinates of x^0, ..., x^e in Q[T]/(f), e = deg f, each padded
-    to length e."""
+    """Coordinates of x^0, ..., x^e in Z[T]/(f), e = deg f, for a monic
+    integer f, each padded to length e."""
     e = len(f) - 1
     cur, vecs = [1], [[1] + [0] * (e - 1)]
     for _ in range(e):
@@ -334,15 +333,8 @@ def _roots_all_real_and_bounded(h, q):
     # h(x) = A(x^2) + x B(x^2)
     A, B = h[0::2], h[1::2]
     C = poly_sub(poly_mul(A, A), [0] + poly_mul(B, B))
-    # shift: D(u) = C(u + 4q) has roots beta_i^2 - 4q; none may be positive
-    D = []
-    for c in reversed(C):
-        D = poly_add(poly_mul(D, [4 * q, 1]), [c])
-    while D and D[0] == 0:
-        D = D[1:]  # boundary roots beta^2 = 4q are allowed
-    if not D:
-        return True
-    return count_real_roots(D, lower=0) == 0
+    # none of them may exceed 4q; boundary roots beta^2 = 4q are allowed
+    return count_real_roots(C, lower=4 * q) == 0
 
 
 # ---------------------------------------------------------------------------

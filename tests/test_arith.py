@@ -30,6 +30,7 @@ from isolab._arith import (
     poly_powmod,
     poly_prem,
     poly_primitive,
+    poly_rem,
     poly_sub,
     power,
     rank,
@@ -415,6 +416,92 @@ class TestSigmaMatrices:
         finite_field.cache_clear()
         rebuilt = unramified_ring(2, 3, 4)
         assert rebuilt is not ring and list(rebuilt._sigma) == [1]
+
+
+# -- the oracle of poly_rem: schoolbook reduction, written out with no
+# _arith routine
+
+
+def _schoolbook_reduce(raw, hbar, n):
+    """raw mod (n, hbar) for a monic hbar of degree m, padded to length m:
+    c x^(i-m) hbar is subtracted for each top coefficient c, from the top
+    down, then every coefficient is reduced mod n."""
+    m = len(hbar) - 1
+    raw = list(raw) + [0] * (m - len(raw))
+    for i in range(len(raw) - 1, m - 1, -1):
+        c = raw[i]
+        for j, h in enumerate(hbar):
+            raw[i - m + j] -= c * h
+    return tuple(c % n for c in raw[:m])
+
+
+def _schoolbook_mulmod(a, b, hbar, n):
+    raw = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            raw[i + j] += x * y
+    return _schoolbook_reduce(raw, hbar, n)
+
+
+def _seeded_coefficients(rng, m, n):
+    """0, 1, every coefficient n - 1, and nine random elements of (Z/n)^m."""
+    out = [[0] * m, [1] + [0] * (m - 1), [n - 1] * m]
+    return out + [[rng.randrange(n) for _ in range(m)] for _ in range(9)]
+
+
+class TestRemainderKernel:
+    @pytest.mark.parametrize("p, m", SMALL_FIELDS)
+    def test_ring_product_is_the_schoolbook_product(self, p, m):
+        rng = random.Random(p * 100 + m)
+        for N in (1, 2, 3, 5, 8):
+            ring = unramified_ring(p, m, N)
+            elements = [ring.from_coeffs(c) for c in _seeded_coefficients(rng, m, ring.pN)]
+            for x in elements:
+                for y in elements:
+                    assert (x * y).coeffs == _schoolbook_mulmod(x.coeffs, y.coeffs, ring.modulus, ring.pN), (N, x, y)
+
+    @pytest.mark.parametrize("p, m", SMALL_FIELDS)
+    def test_field_product_is_the_schoolbook_product(self, p, m):
+        rng = random.Random(p * 10 + m)
+        field = finite_field(p, m)
+        elements = [field(c) for c in _seeded_coefficients(rng, m, p)]
+        for x in elements:
+            for y in elements:
+                assert (x * y).coeffs == _schoolbook_mulmod(x.coeffs, y.coeffs, field.modulus, p), (x, y)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_rem_is_the_divmod_remainder(self, p):
+        rng = random.Random(200 + p)
+        for _ in range(300):
+            f = _random_poly(rng, rng.randrange(0, 6), p, monic=rng.random() < 0.5)
+            a = [rng.randint(-3 * p, 3 * p) for _ in range(rng.randrange(0, 12))]
+            assert poly_rem(a, f, p) == poly_divmod(a, f, p)[1], (a, f)
+
+    @pytest.mark.parametrize("p, N", [(2, 1), (2, 7), (3, 4), (5, 3), (13, 2)])
+    def test_rem_by_a_monic_divisor_mod_a_prime_power(self, p, N):
+        rng = random.Random(p * 10 + N)
+        n = p**N
+        for _ in range(200):
+            f = [rng.randrange(n) for _ in range(rng.randrange(1, 6))] + [1]
+            a = [rng.randint(-n * n, n * n) for _ in range(rng.randrange(0, 12))]
+            want = list(_schoolbook_reduce(a, f, n))
+            while want and not want[-1]:
+                want.pop()
+            assert poly_rem(a, f, n) == want, (a, f)
+
+    def test_rem_over_q_is_the_divmod_remainder(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            monic = rng.random() < 0.5
+            f = [rng.randint(-6, 6) for _ in range(rng.randrange(0, 5))]
+            f.append(1 if monic else rng.choice((-3, -1, 2, 5, Fraction(2, 3))))
+            a = [rng.randint(-20, 20) for _ in range(rng.randrange(0, 10))]
+            if rng.random() < 0.3:
+                a = [Fraction(c, rng.randrange(1, 4)) for c in a]
+            r = poly_rem(a, f)
+            assert r == poly_divmod(a, f)[1], (a, f)
+            if monic and all(type(c) is int for c in a):
+                assert all(type(c) is int for c in r), (a, f)
 
 
 def _det(m):

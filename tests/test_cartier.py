@@ -18,7 +18,7 @@ from isolab.cartier import (
     cartier_normalize,
 )
 from isolab.errors import InputError, PrecisionError
-from isolab.unramified import UElement
+from isolab.unramified import UElement, finite_field, unramified_ring
 from isolab.witt import WittContext
 
 
@@ -251,6 +251,15 @@ class TestNormalization:
     def test_zero_cap_rejected(self):
         with pytest.raises(InputError):
             CartierContext(2, 1, vcap=0)
+
+    def test_context_builds_no_ring(self):
+        unramified_ring.cache_clear()
+        ctx = CartierContext(3, 2, vcap=4)
+        assert ctx.field is finite_field(3, 2)
+        assert unramified_ring.cache_info().currsize == 0
+        for p, m, message in ((4, 1, "p = 4 is not prime"), (2, 0, "field degree m must be >= 1")):
+            with pytest.raises(InputError, match=message):
+                CartierContext(p, m)
 
 
 class TestAction:

@@ -13,8 +13,9 @@ FLOAT_NAMES = {"float", "inf"}
 INEXACT_MATH = {"sqrt", "log", "log2", "log10", "floor", "ceil"}
 # polygons reach poset.py as integer vertex paths and stay integers there,
 # slopes compared by cross-multiplying; dieudonne.py works mod p^N, its
-# characteristic polynomial by Berkowitz.  A `/` there would make a float.
-FRACTION_FREE = {"poset.py", "dieudonne.py"}
+# characteristic polynomial by Berkowitz, and unramified.py and witt.py
+# work on ints mod p or p^N.  A `/` there would make a float.
+FRACTION_FREE = {"poset.py", "dieudonne.py", "unramified.py", "witt.py"}
 
 
 def violations(path):

@@ -10,10 +10,13 @@ from math import comb, isqrt
 import pytest
 
 from isolab.errors import InputError, IsolabError, PlaceResolutionError
-from isolab._arith import poly_deriv, poly_divmod, poly_eval, poly_gcd, poly_mul, poly_primitive, poly_trim
+from isolab._arith import poly_add, poly_deriv, poly_divmod, poly_eval, poly_gcd, poly_mul, poly_primitive, poly_sub, poly_trim
 from isolab.weil import (
     HondaTateData,
     WeilRejection,
+    _int_poly_divides,
+    _real_weil_polynomial,
+    _roots_all_real_and_bounded,
     _sturm_chain,
     albert_classify,
     count_real_roots,
@@ -170,6 +173,81 @@ def _assert_chain_positive_multiple(f):
     for a, b in zip(ours, oracle):
         assert len(a) == len(b) and a[-1] * b[-1] > 0, f
         assert [x * b[-1] for x in a] == [y * a[-1] for y in b], f
+
+
+def _divides_over_q(d, f):
+    """The Fraction-division definition: long division of f by d over Q
+    leaves no remainder and an integral quotient."""
+    r = [Fraction(c) for c in f]
+    q = []
+    for i in range(len(f) - len(d), -1, -1):
+        c = r[i + len(d) - 1] / d[-1]
+        q.append(c)
+        for j, dj in enumerate(d):
+            r[i + j] -= c * dj
+    return not any(r) and all(c.denominator == 1 for c in q)
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_int_poly_divides_is_the_fraction_definition():
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(2000):
+        d = [rng.randint(-4, 4) for _ in range(rng.randrange(1, 5))] + [1]
+        g = [rng.randint(-4, 4) for _ in range(rng.randrange(0, 5))] + [1]
+        f = _convolve(d, g)
+        if rng.random() < 0.5:
+            f[rng.randrange(len(f) - 1)] += rng.choice((-1, 1))
+        if rng.random() < 0.2:
+            f = [rng.randint(-9, 9) for _ in range(rng.randrange(1, 8))] + [1]
+        want = _divides_over_q(d, f)
+        assert _int_poly_divides(d, f) is want, (d, f)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def _oracle_roots_all_real_and_bounded(h, q):
+    """The shifted check: the roots of D(u) = C(u + 4q) are beta_i^2 - 4q,
+    and after its zero roots are stripped none may be positive."""
+    h = poly_trim(h)
+    if count_real_roots(h) != len(h) - 1:
+        return False
+    A, B = h[0::2], h[1::2]
+    C = poly_sub(poly_mul(A, A), [0] + poly_mul(B, B))
+    D = []
+    for c in reversed(C):
+        D = poly_add(poly_mul(D, [4 * q, 1]), [c])
+    while D and D[0] == 0:
+        D = D[1:]
+    if not D:
+        return True
+    return count_real_roots(D, lower=0) == 0
+
+
+def test_root_bound_is_the_shifted_check():
+    verdicts = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        top = isqrt(16 * q) + 1  # |a| <= 4 sqrt(q) + 1
+        for a in range(-top, top + 1):
+            for b in range(-6 * q - 1, 6 * q + 2):
+                h = _real_weil_polynomial([q * q, a * q, b, a, 1], q)
+                verdicts.append(_roots_all_real_and_bounded(h, q))
+                assert verdicts[-1] == _oracle_roots_all_real_and_bounded(h, q), (q, a, b)
+    assert True in verdicts and False in verdicts
+    sextics = 0
+    for minpoly, p, n in _weil_pin_cases():
+        if len(minpoly) == 7:
+            h = _real_weil_polynomial(list(reversed(minpoly)), p**n)
+            assert _roots_all_real_and_bounded(h, p**n) == _oracle_roots_all_real_and_bounded(h, p**n), minpoly
+            sextics += 1
+    assert sextics > 20
 
 
 class TestVerify:
