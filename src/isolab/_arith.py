@@ -8,14 +8,13 @@ Polynomials are dense coefficient lists, lowest degree first; every
 routine that returns a polynomial returns a fresh trimmed list.  A
 modulus `p` may be a prime, with a divisor of any lead, or any modulus
 with a monic divisor, as p^N in the lift ring; without one they compute
-over Q (ints and `Fraction`s).  `poly_rem` is the one remainder loop:
-reduction in every quotient ring goes through it.  `poly_primitive`,
-`poly_prem` and `poly_divexact` compute in Z[x] and divide only exactly.
+over Z and divide only exactly.  `poly_rem` is the one remainder loop:
+reduction in every quotient ring goes through it.  `poly_primitive` and
+`poly_prem`, the pseudo-remainder of Sturm chains, compute in Z[x].
 The algorithms are the classical ones of von zur Gathen and Gerhard,
 *Modern Computer Algebra*, Ch. 14.
 """
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -216,7 +215,7 @@ def charpoly(M, modulus):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q (p None), F_p or Z/p^N
+# polynomials over Z (p None), F_p or Z/p^N
 
 
 def poly_trim(a):
@@ -271,17 +270,22 @@ def _product(a, b):
 
 
 def poly_divmod(a, b, p=None):
-    """(quotient, remainder) of a by a nonzero trimmed b."""
+    """(quotient, remainder) of a by a nonzero trimmed b.  Over Z (p None)
+    every quotient coefficient must be an integer: InputError otherwise.
+    So a b that divides a over Z leaves (a / b, []); by Gauss's lemma any
+    primitive b that divides a over Q is one."""
     a = list(a)
     db = len(b) - 1
-    inv = pow(b[-1], -1, p) if p is not None else 1 / Fraction(b[-1])
+    inv = pow(b[-1], -1, p) if p is not None else None
     q = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv % p if p is not None else a[i] * inv
+        c = a[i] * inv % p if p is not None else a[i] // b[-1]
         if c:
             q[i - db] = c
             for j, bj in enumerate(b, i - db):
                 a[j] -= c * bj
+    if p is None and any(a[db:]):
+        raise InputError("the lead %d of the divisor leaves a quotient outside Z[x]" % b[-1])
     del a[db:]
     return _trim(q), _trim(a if p is None else [c % p for c in a])
 
@@ -289,12 +293,14 @@ def poly_divmod(a, b, p=None):
 def poly_rem(a, f, p=None):
     """Remainder of a by a nonzero trimmed f, with no quotient built.  The
     lead of f is inverted once, and not at all when f is monic; then any
-    modulus p serves (p^N in the lift ring), and over Q (p None) int input
-    stays int."""
+    modulus p serves (p^N in the lift ring).  Over Z (p None) f must be
+    monic: InputError otherwise."""
     a = list(a)
     df = len(f) - 1
     low = f[:-1]
-    inv = None if f[-1] == 1 else pow(f[-1], -1, p) if p is not None else 1 / Fraction(f[-1])
+    if p is None and f[-1] != 1:
+        raise InputError("a remainder over Z needs a monic divisor, not lead %d" % f[-1])
+    inv = None if f[-1] == 1 else pow(f[-1], -1, p)
     for i in range(len(a) - 1, df - 1, -1):
         c = a.pop()
         if inv is not None:
@@ -307,18 +313,15 @@ def poly_rem(a, f, p=None):
     return _trim(a if p is None else [c % p for c in a])
 
 
-def poly_gcd(a, b, p=None):
-    """Monic gcd; empty when a and b are both zero."""
+def poly_gcd(a, b, p):
+    """Monic gcd mod a prime p; empty when a and b are both zero."""
     a, b = poly_trim(a), poly_trim(b)
     while b:
         a, b = b, poly_rem(a, b, p)
     if not a:
         return a
-    if p is not None:
-        inv = pow(a[-1], -1, p)
-        return [c * inv % p for c in a]
-    lead = Fraction(a[-1])
-    return [c / lead for c in a]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
 def poly_primitive(a):
@@ -348,22 +351,6 @@ def poly_prem(a, b):
             for j, bj in enumerate(low, i - db):
                 a[j] -= c * bj
     return poly_primitive(_trim(a))
-
-
-def poly_divexact(a, b):
-    """a / b for integer polynomials, b a nonzero trimmed divisor of a over
-    Z; by Gauss's lemma any primitive b that divides a over Q is one."""
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] // lead
-        if c:
-            q[i - db] = c
-            for j, bj in enumerate(b, i - db):
-                a[j] -= c * bj
-    return _trim(q)
 
 
 def poly_mulmod(a, b, f, p=None):

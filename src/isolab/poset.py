@@ -40,11 +40,13 @@ __all__ = [
 ]
 
 # The number of polygons grows exponentially with h, about doubling with
-# each step of 2.  On a 2-vCPU Xeon a CLI `poset build` at (18, 9), 1,882
-# elements, takes 0.15 s after the interpreter starts; with the cap
-# raised, (20, 10), 3,959 elements, takes 0.25 s and (22, 11), 8,179
-# elements, 0.5 s and 43 MiB.
-MAX_POSET_HEIGHT = 18
+# each step of 2, and d = h/2 has the most.  On a 2-vCPU Xeon, in a fresh
+# process, `poset build`, `dot`, `chain --from iso --to ord` and `witness`
+# at (h, h/2) each take 0.17-0.23 s and 20-21 MiB at h = 18 (1,882
+# elements), 0.22-0.33 s and 27 MiB at 20, 0.49-0.53 s and 41-46 MiB at 22
+# (8,179 elements), 0.59-0.78 s and 57-65 MiB at 23, and 1.2-1.3 s and
+# 88-98 MiB at 24.
+MAX_POSET_HEIGHT = 22
 
 
 def check_endpoints(h, d, symmetric=False):
@@ -124,14 +126,6 @@ def isoclinic_polygon(h, d):
 def ordinary_polygon(h, d):
     """The ordinary polygon d*(1,0) + (h-d)*(0,1)."""
     return np_from_pairs([(1, 0)] * d + [(0, 1)] * (h - d))
-
-
-def _bits(mask):
-    """Indices of the set bits of `mask`, increasing."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _up_sets(polygons):
@@ -254,17 +248,16 @@ def longest_chain(poset, frm, to):
         return [poset.elements[i]]
     if not poset.less(i, j):
         raise InputError(_INCOMPARABLE)
-    # longest path in the cover DAG over the interval [frm, to] alone; i has
-    # the least rank there, and every other element is reached from it
-    between = [k for k in _bits(poset._up[i]) if k == j or poset.less(k, j)]
-    best = {i: [i]}
-    for k in [i] + sorted(between, key=poset.ranks.__getitem__):
-        for nxt in poset.covers[k]:
-            if nxt == j or poset.less(nxt, j):
-                cand = best[k] + [nxt]
-                if nxt not in best or len(cand) > len(best[nxt]):
-                    best[nxt] = cand
-    return [poset.elements[k] for k in best[j]]
+    # a walk down from `to`: each step takes the lower cover inside [frm, to]
+    # with the least index.  A lower cover lies higher, so its index is
+    # larger, and frm, lying highest, has the largest index i.  In a ranked
+    # poset this is the chain a longest-path relaxation in (rank, index)
+    # order keeps.
+    chain = [j]
+    while chain[-1] != i:
+        k = chain[-1]
+        chain.append(next(m for m in range(k + 1, i + 1) if k in poset.covers[m] and (m == i or poset.less(i, m))))
+    return [poset.elements[k] for k in reversed(chain)]
 
 
 def specialization_witness(beta, gamma):

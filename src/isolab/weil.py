@@ -25,7 +25,7 @@ from ._arith import (
     divisors,
     factor_degrees,
     poly_deriv,
-    poly_divexact,
+    poly_divmod,
     poly_eval,
     poly_mul,
     poly_mulmod,
@@ -289,7 +289,7 @@ def count_real_roots(f, lower=None, upper=None):
     chain = _sturm_chain(f)
     if len(chain[-1]) > 1:
         # repeated factors: count the roots of the squarefree part f / gcd(f, f')
-        chain = _sturm_chain(poly_divexact(f, chain[-1]))
+        chain = _sturm_chain(poly_divmod(f, chain[-1])[0])
     return _sign_variations(chain, lower, -1) - _sign_variations(chain, upper, 1)
 
 

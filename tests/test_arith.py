@@ -1,5 +1,6 @@
 """The exact-arithmetic kernel against brute-force oracles."""
 
+import ast
 import random
 import subprocess
 import sys
@@ -25,7 +26,6 @@ from isolab._arith import (
     poly_eval,
     poly_gcd,
     poly_mul,
-    poly_divexact,
     poly_mulmod,
     poly_powmod,
     poly_prem,
@@ -40,6 +40,7 @@ from isolab._arith import (
 from isolab.cartier import CartierContext
 from isolab.errors import InputError
 from isolab.unramified import UElement, UnramifiedRing, default_modulus, finite_field, unramified_ring
+from qpoly import q_divmod
 
 
 def _trial_division_primes(bound):
@@ -244,21 +245,15 @@ def test_default_modulus_table():
     assert got == DEFAULT_MODULUS
 
 
-class TestPolynomialsOverQ:
-    def test_divmod_is_exact(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            a = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(rng.randrange(1, 7))]
-            b = [rng.randrange(-5, 6) for _ in range(rng.randrange(1, 4))] + [rng.choice((-3, 1, 2))]
-            q, r = poly_divmod(a, b)
-            assert poly_add(poly_mul(q, b), r) == poly_sub(a, [])
-            assert len(r) < len(b)
+class TestPolynomialsOverZ:
+    def test_kernel_imports_no_fractions(self):
+        import isolab._arith
 
-    def test_gcd_is_monic(self):
-        a = poly_mul([1, 1], [2, 0, 3])  # (x+1)(3x^2+2)
-        b = poly_mul([1, 1], [5, 7])
-        assert poly_gcd(a, b) == [1, 1]
-        assert poly_gcd(poly_mul([-2, 4], [1, 0, 1]), [-2, 4]) == [Fraction(-1, 2), 1]
+        with open(isolab._arith.__file__) as fh:
+            tree = ast.parse(fh.read())
+        modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        assert "fractions" not in modules
 
     def test_mulmod_and_powmod(self):
         f = [2, 0, 1]  # x^2 = -2
@@ -267,15 +262,13 @@ class TestPolynomialsOverQ:
         assert poly_powmod([0, 1], 5, f) == [0, 4]
         assert poly_powmod([3], -1, f) == [1]
 
-
-class TestPolynomialsOverZ:
     def test_prem_is_the_primitive_positive_multiple_of_the_remainder(self):
         rng = random.Random(13)
         for _ in range(300):
             a = [rng.randint(-9, 9) for _ in range(rng.randrange(0, 8))]
             b = [rng.randint(-9, 9) for _ in range(rng.randrange(0, 5))] + [rng.choice((-6, -1, 1, 4))]
             r = poly_prem(a, b)
-            rq = poly_divmod(a, b)[1]
+            rq = q_divmod(a, b)[1]
             assert len(r) == len(rq) and all(type(c) is int for c in r)
             assert not r or gcd(*r) == 1
             # r = lambda rq with lambda = r_top / rq_top > 0
@@ -290,7 +283,10 @@ class TestPolynomialsOverZ:
         for _ in range(200):
             a = [rng.randint(-9, 9) for _ in range(rng.randrange(1, 6))] + [rng.choice((-2, 1, 3))]
             b = [rng.randint(-9, 9) for _ in range(rng.randrange(0, 5))] + [rng.choice((-5, -1, 1, 2))]
-            assert poly_divexact(poly_mul(a, b), b) == a
+            assert poly_divmod(poly_mul(a, b), b) == (a, [])
+        # x^2 + 1 by 2x + 1: the quotient x/2 is not in Z[x]
+        with pytest.raises(InputError, match="the lead 2 of the divisor leaves a quotient outside Z"):
+            poly_divmod([1, 0, 1], [1, 2])
 
 
 class TestTeichmullerDigits:
@@ -489,19 +485,21 @@ class TestRemainderKernel:
                 want.pop()
             assert poly_rem(a, f, n) == want, (a, f)
 
-    def test_rem_over_q_is_the_divmod_remainder(self):
+    def test_rem_over_z_is_the_divmod_remainder(self):
         rng = random.Random(23)
         for _ in range(300):
-            monic = rng.random() < 0.5
-            f = [rng.randint(-6, 6) for _ in range(rng.randrange(0, 5))]
-            f.append(1 if monic else rng.choice((-3, -1, 2, 5, Fraction(2, 3))))
+            f = [rng.randint(-6, 6) for _ in range(rng.randrange(0, 5))] + [1]
             a = [rng.randint(-20, 20) for _ in range(rng.randrange(0, 10))]
-            if rng.random() < 0.3:
-                a = [Fraction(c, rng.randrange(1, 4)) for c in a]
             r = poly_rem(a, f)
-            assert r == poly_divmod(a, f)[1], (a, f)
-            if monic and all(type(c) is int for c in a):
-                assert all(type(c) is int for c in r), (a, f)
+            assert r == q_divmod(a, f)[1] == poly_divmod(a, f)[1], (a, f)
+            assert all(type(c) is int for c in r), (a, f)
+
+    @pytest.mark.parametrize("f", [[1, 2], [0, -1], [3, 0, 5], [1, 1, 1, -2]])
+    def test_rem_over_z_refuses_a_non_monic_divisor(self, f):
+        # pow(lead, -1) over no modulus would be a float
+        for a in ([], [7], [1, 1, 1], [0, 0, 0, 0, 4]):
+            with pytest.raises(InputError, match="needs a monic divisor"):
+                poly_rem(a, f)
 
 
 def _det(m):

@@ -11,13 +11,13 @@ from isolab._arith import MAX_PRIME
 from isolab.cartier import MAX_ARTIN_HASSE_DEGREE, MAX_WORKING_PRECISION, artin_hasse
 from isolab import cli
 from isolab.cli import MAX_POLYGON_HEIGHT, MAX_PRECISION, main, parse_polygon
-from isolab.dieudonne import gmn_module
+from isolab.dieudonne import MAX_TORSION_BITS, gmn_module
 from isolab.errors import InputError
 from isolab.newton import np_from_pairs
 from isolab.poset import MAX_POSET_HEIGHT
 from isolab.semimodule import MAX_SEMIMODULES
 from isolab.weil import MAX_Q_BITS, weil_verify
-from isolab.witt import WittContext
+from isolab.witt import MAX_GHOST_BITS, WittContext
 
 
 # Over F_{31^3}, euler_phi(31^3 - 1) = 7920 guard digits per base-31 digit
@@ -279,6 +279,8 @@ class TestExitCodes:
             (["weil-trace", "--beta", "1", "--p", "2", "--n", "1000000000"], MAX_Q_BITS),
             (["weil", "verify", "--minpoly", "1,-1,2", "--p", "2", "--n", "1000000000"], MAX_Q_BITS),
             (["np-poly", "--coeffs", "1,1", "--p", str(MAX_PRIME)], MAX_PRIME),
+            (["dieudonne", "serre-tate-torsion", "--exponents", "20000,20000", "--p", "2"], MAX_TORSION_BITS),
+            (["witt", "ghost", "--p", "3", "--coords", ",".join(["2"] * 19)], MAX_GHOST_BITS),
         ],
     )
     def test_size_over_its_cap_is_2(self, argv, cap):

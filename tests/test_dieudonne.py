@@ -2,6 +2,7 @@
 
 import fractions
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -9,6 +10,8 @@ import pytest
 
 from isolab._arith import charpoly
 from isolab.dieudonne import (
+    MAX_TORSION_BITS,
+    MAX_TORSION_G,
     DieudonnePresentation,
     DisplayNormalForm,
     _np_of_display_general,
@@ -406,6 +409,18 @@ class TestSerreTate:
                         if exps[i] > 0
                     )
                     assert list(prof.orders) == want
+                    assert want == elementary_divisors(serre_tate_relation_matrix(exps, p))
+
+    def test_caps(self):
+        assert serre_tate_torsion((0, 10**9), 2).orders == ()
+        assert serre_tate_torsion(tuple(range(32)), 2).orders[-1] == 2**30
+        # 2^(MAX_TORSION_BITS - 1) has MAX_TORSION_BITS bits
+        assert serre_tate_torsion((MAX_TORSION_BITS - 1,) * 2, 2).orders == (2 ** (MAX_TORSION_BITS - 1),)
+        with pytest.raises(InputError, match=re.escape("2^%d exceeds the cap of %d bits" % (MAX_TORSION_BITS, MAX_TORSION_BITS))):
+            serre_tate_torsion((MAX_TORSION_BITS,) * 2, 2)
+        assert len(serre_tate_torsion((0,) * (MAX_TORSION_G - 1) + (1,), 3).orders) == 0
+        with pytest.raises(InputError, match="g = %d exceeds the cap of %d" % (MAX_TORSION_G + 1, MAX_TORSION_G)):
+            serre_tate_torsion((0,) * (MAX_TORSION_G + 1), 3)
 
     def test_relation_matrix_shape(self):
         mat = serre_tate_relation_matrix((1, 2, 2), 3)

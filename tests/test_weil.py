@@ -10,7 +10,7 @@ from math import comb, isqrt
 import pytest
 
 from isolab.errors import InputError, IsolabError, PlaceResolutionError
-from isolab._arith import poly_add, poly_deriv, poly_divmod, poly_eval, poly_gcd, poly_mul, poly_primitive, poly_sub, poly_trim
+from isolab._arith import poly_add, poly_deriv, poly_eval, poly_mul, poly_primitive, poly_sub, poly_trim
 from isolab.weil import (
     HondaTateData,
     WeilRejection,
@@ -26,6 +26,8 @@ from isolab.weil import (
     weil_from_real_trace,
     weil_verify,
 )
+
+from qpoly import q_divmod, q_gcd
 
 
 class TestIrreducibility:
@@ -125,7 +127,7 @@ def _oracle_sturm_chain(f):
     f = poly_trim(f)
     chain = [f, poly_deriv(f)]
     while len(chain[-1]) > 1:
-        r = poly_divmod(chain[-2], chain[-1])[1]
+        r = q_divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append([-c for c in r])
@@ -136,8 +138,8 @@ def _oracle_squarefree_part(f):
     f = poly_trim(f)
     if len(f) <= 2:
         return f
-    g = poly_gcd(f, poly_deriv(f))
-    return f if len(g) == 1 else poly_divmod(f, g)[0]
+    g = q_gcd(f, poly_deriv(f))
+    return f if len(g) == 1 else q_divmod(f, g)[0]
 
 
 def _oracle_variations(chain, x, infinity):

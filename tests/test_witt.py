@@ -11,6 +11,8 @@ from isolab.dieudonne import serre_tate_torsion
 from isolab.errors import InputError
 from isolab.unramified import FiniteField, unramified_ring
 from isolab.witt import (
+    MAX_GHOST_BITS,
+    MAX_GHOST_COORDINATES,
     WittContext,
     ghost_components,
     ghost_inverse,
@@ -29,6 +31,31 @@ class TestGhost:
     def test_teichmuller_ghost(self):
         c = 5
         assert ghost_components([c, 0, 0, 0], 3) == [c, c**3, c**9, c**27]
+
+    def test_running_powers_are_the_formula(self):
+        # each power formed from the last against w_n summed afresh
+        rng = random.Random(41)
+        for p in (2, 3, 5, 7):
+            for _ in range(200):
+                coords = [rng.randint(-6, 6) for _ in range(rng.randrange(0, 6 if p < 7 else 5))]
+                want = [sum(p**i * coords[i] ** (p ** (n - i)) for i in range(n + 1)) for n in range(len(coords))]
+                assert ghost_components(coords, p) == want, (coords, p)
+
+    def test_caps(self):
+        # the largest component the benchmark's checks send, 6^(7^3) at 887
+        # bits, and the most coordinates, both served
+        assert ghost_components([6, 6, 6, 6], 7)[-1] == sum(7**i * 6 ** (7 ** (3 - i)) for i in range(4))
+        assert ghost_components([1] * MAX_GHOST_COORDINATES, 2)[-1] == 2**MAX_GHOST_COORDINATES - 1
+        with pytest.raises(InputError, match="%d ghost coordinates exceed the cap of %d" % (MAX_GHOST_COORDINATES + 1, MAX_GHOST_COORDINATES)):
+            ghost_components([0] * (MAX_GHOST_COORDINATES + 1), 2)
+        # 2^(3^9) has 19,684 bits; the 19 coordinates once took 5 s to fail
+        with pytest.raises(InputError, match="w_9 of up to 19691 bits exceeds the cap of %d bits" % MAX_GHOST_BITS):
+            ghost_components([2] * 19, 3)
+        # the bound on w_0 = c is one bit over c: c of MAX_GHOST_BITS - 1
+        # bits is served, one bit more is refused
+        ghost_components([2 ** (MAX_GHOST_BITS - 2)], 2)
+        with pytest.raises(InputError, match="cap of %d bits" % MAX_GHOST_BITS):
+            ghost_components([2 ** (MAX_GHOST_BITS - 1)], 2)
 
     def test_inverse_round_trip(self):
         coords = [3, -2, 7, 1]
