@@ -3,9 +3,10 @@
 Elements are finite sums  sum V^a <c_ab> F^b  with coefficients in the
 (perfect) base field, rows a capped by an explicit V-adic precision A.
 Grouping a sum by the diagonal i = a-b identifies it with a two-sided
-series  sum_i w_i V^i  with w_i in W(F_{p^m}); addition is carried out
-there, digit by digit, because Witt addition carries: <1> + <1> is V<1>F
-over F_2, not <2>.
+series  sum_i w_i V^i  with w_i in W(F_{p^m}).  Where two terms of a
+diagonal share a position, addition is carried out there, digit by digit,
+because Witt addition carries: <1> + <1> is V<1>F over F_2, not <2>.  A
+diagonal whose terms sit at distinct positions is already canonical.
 
 Multiplication reduces monomial pairs with the commutation rules
 F<a> = <a^p>F, <a>V = V<a^p>, FV = VF = p (characteristic p), which
@@ -32,10 +33,11 @@ __all__ = [
 # about 1.3 s at degree 500 and 6 s at 1000, and near degree 2000 its
 # coefficients outgrow Python's int-to-str limit.
 MAX_ARTIN_HASSE_DEGREE = 500
-# Largest working precision of a normalization (V-cap plus guard digits that
-# grow with euler_phi(p^m - 1)).  On a 2-vCPU Xeon `cartier mul` of two 6-term
-# elements takes 0.9 s over F_{5^4} (precision up to 1159) and 2.2 s over
-# F_{3^6} (up to 1735); over F_{31^3} at vcap 2 it needs 31685 and hangs.
+# Largest working precision of a diagonal that carries (V-cap plus guard
+# digits that grow with euler_phi(p^m - 1)).  On a 2-vCPU Xeon `cartier mul`
+# of two 6-term elements takes 0.9 s over F_{5^4} (precision up to 1159) and
+# 2.2 s over F_{3^6} (up to 1735); over F_{31^3} at vcap 2 the first carrying
+# diagonal of a product needs 23764.
 MAX_WORKING_PRECISION = 1024
 
 
@@ -209,12 +211,20 @@ def _from_int(ctx, k):
 def cartier_normalize(context, raw_terms, truncated=False):
     """Canonical form of a raw sum of monomials (a, b, c).
 
-    Terms are grouped by diagonal i = a-b, converted to Witt elements of
-    the unramified lift at certified precision, summed there, and read
-    back as Teichmuller digits.  Rows at or beyond the V-cap are dropped.
-    The sum and its digits are plain coefficient lists: the only ring
-    elements met are the table's lifts, and a field element is built only
-    for a nonzero digit.
+    Terms are grouped by diagonal i = a-b; rows at or beyond the V-cap are
+    dropped.  A diagonal whose positions b are pairwise distinct is already
+    canonical: its terms V^a <c> F^b stand for the Witt vector
+    sum_j p^(b_j) [c_j^(p^(-a_j))], which is a Teichmuller expansion, one
+    digit per position, and every position b < A - i lies inside any
+    working precision.  Every element of W(F_{p^m}) has exactly one such
+    expansion (Serre, Local Fields, II 5), so reading digits back would
+    return these digits and a zero remainder: the table is the terms
+    themselves and `truncated` does not change.  Only a diagonal with a repeated position carries; its terms
+    are converted to Witt elements of the unramified lift at certified
+    precision, summed there, and read back as Teichmuller digits.  The sum
+    and its digits are plain coefficient lists: the only ring elements met
+    are the table's lifts, and a field element is built only for a nonzero
+    digit.
 
     The `truncated` flag is exact: the residual past the cap is an integer
     combination of roots of unity, so its norm bounds how deep a nonzero
@@ -236,6 +246,10 @@ def cartier_normalize(context, raw_terms, truncated=False):
         diagonals.setdefault(a - b, []).append((a, b, c))
     table = {}
     for i, terms in diagonals.items():
+        if len({b for _, b, _ in terms}) == len(terms):
+            for a, b, c in terms:
+                table[(a, b)] = c
+            continue
         digits = A - i  # positions b = 0..A-i-1 cover all rows a < A
         if digits > MAX_WORKING_PRECISION:  # checked before p**digits is formed
             raise InputError("Cartier working precision over %d exceeds the cap of %d" % (digits, MAX_WORKING_PRECISION))

@@ -8,6 +8,8 @@ over Z, which succeeds in exact integers precisely because the universal
 Witt polynomials are integral.
 """
 
+from operator import mul
+
 from ._arith import require_prime
 from .errors import InputError
 from .unramified import UElement, unramified_ring
@@ -33,42 +35,65 @@ MAX_GHOST_BITS = 10_000
 MAX_GHOST_COORDINATES = 1000
 
 
+def _raise_powers(powers, weights, p, last=0):
+    """The running powers x -> x^p of the next ghost component
+    w_n = sum_{i<n} p^i x_i^p + p^n last, once w_n is bounded under
+    MAX_GHOST_BITS: bits(x^p) <= p bits(x) for |x| > 1, and its n + 1 terms
+    add at most n.bit_length() bits.  `weights` holds p^0..p^n."""
+    n = len(powers)
+    sizes = [x.bit_length() * (p if abs(x) > 1 else 1) for x in powers] + [last.bit_length()]
+    bits = max(w.bit_length() + s for w, s in zip(weights, sizes)) + n.bit_length()
+    if bits > MAX_GHOST_BITS:
+        raise InputError("ghost component w_%d of up to %d bits exceeds the cap of %d bits" % (n, bits, MAX_GHOST_BITS))
+    return [x**p for x in powers]
+
+
+def _check_length(n):
+    if n > MAX_GHOST_COORDINATES:
+        raise InputError("%d ghost coordinates exceed the cap of %d" % (n, MAX_GHOST_COORDINATES))
+
+
 def ghost_components(coords, p):
     """w_n = sum_{i<=n} p^i c_i^(p^(n-i)) for integer-lift coordinates.
 
     Each coordinate keeps one running power, raised to the p-th power for
     each further component.  A component's bit length is bounded before
-    it is formed, from bits(x^p) <= p bits(x) for |x| > 1 and from its
-    n + 1 terms, and refused over MAX_GHOST_BITS; so is a coordinate count
+    it is formed and refused over MAX_GHOST_BITS; so is a coordinate count
     over MAX_GHOST_COORDINATES.
     """
     require_prime(p)
     coords = [int(c) for c in coords]
-    if len(coords) > MAX_GHOST_COORDINATES:
-        raise InputError("%d ghost coordinates exceed the cap of %d" % (len(coords), MAX_GHOST_COORDINATES))
+    _check_length(len(coords))
     out, weights, powers = [], [], []
     for n, c in enumerate(coords):
         weights.append(p**n)
-        sizes = [x.bit_length() * (p if abs(x) > 1 else 1) for x in powers] + [c.bit_length()]
-        bits = max(w.bit_length() + s for w, s in zip(weights, sizes)) + n.bit_length()
-        if bits > MAX_GHOST_BITS:
-            raise InputError("ghost component w_%d of up to %d bits exceeds the cap of %d bits" % (n, bits, MAX_GHOST_BITS))
-        powers = [x**p for x in powers] + [c]
-        out.append(sum(w * x for w, x in zip(weights, powers)))
+        powers = _raise_powers(powers, weights, p, c) + [c]
+        out.append(sum(map(mul, weights, powers)))
     return out
 
 
 def ghost_inverse(ghosts, p):
     """Integer coordinates with the given ghost vector; raises InputError
-    if no integral preimage exists."""
+    if no integral preimage exists.
+
+    c_n = (w_n - sum_{i<n} p^i c_i^(p^(n-i))) / p^n, with the running powers
+    and caps of `ghost_components`; a ghost component over MAX_GHOST_BITS
+    is refused before anything is formed.
+    """
     require_prime(p)
-    coords = []
+    _check_length(len(ghosts))
     for n, w in enumerate(ghosts):
-        acc = sum(p**i * coords[i] ** (p ** (n - i)) for i in range(n))
-        num = w - acc
-        if num % (p**n):
+        if w.bit_length() > MAX_GHOST_BITS:
+            raise InputError("ghost component w_%d of up to %d bits exceeds the cap of %d bits" % (n, w.bit_length(), MAX_GHOST_BITS))
+    coords, weights, powers = [], [], []
+    for n, w in enumerate(ghosts):
+        weights.append(p**n)
+        powers = _raise_powers(powers, weights, p)
+        num = w - sum(map(mul, weights, powers))
+        if num % weights[-1]:
             raise InputError("ghost vector has no integral Witt preimage")
-        coords.append(num // (p**n))
+        coords.append(num // weights[-1])
+        powers.append(coords[-1])
     return coords
 
 

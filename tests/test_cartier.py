@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -81,6 +82,38 @@ def oracle_from_int(ctx, k):
     return oracle_normalize(ctx, raw, truncated=any(c % ctx.p**guard for c in rest.coeffs))
 
 
+def lift_ring_normalize(context, raw_terms, truncated=False):
+    """cartier_normalize with no carry-free shortcut: every diagonal, even
+    one whose positions are distinct, is summed in its lift ring and read
+    back by `digit_keys`."""
+    field, A, p = context.field, context.vcap, context.p
+    diagonals = {}
+    for a, b, c in raw_terms:
+        c = field.coerce(c)
+        if c.is_zero():
+            continue
+        if a >= A:
+            truncated = True
+            continue
+        diagonals.setdefault(a - b, []).append((a, b, c))
+    table = {}
+    for i, terms in diagonals.items():
+        digits = A - i
+        weight = sum(p**b for _, b, _ in terms) + p**digits
+        guard = context.phi * base_p_digits(weight, p) + 2
+        ring = unramified_ring(p, context.m, digits + guard)
+        acc = [0] * context.m
+        for a, b, c in terms:
+            acc = [x + p**b * y for x, y in zip(acc, ring.teichmuller(c.frobenius_inv(a)).coeffs)]
+        keys, v = ring.digit_keys([x % ring.pN for x in acc], digits)
+        for b, r in enumerate(keys):
+            if any(r):
+                table[(i + b, b)] = field(r).frobenius(i + b)
+        if any(c % p**guard for c in v):
+            truncated = True
+    return CartierElement(context, table, truncated)
+
+
 ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
 
@@ -132,6 +165,36 @@ class TestNormalizeOracle:
         warm = cartier_normalize(ctx, raw)
         assert made == []
         assert (warm.terms, warm.truncated) == (cold.terms, cold.truncated)
+
+
+class TestCarryFreeShortcut:
+    """A diagonal whose positions are distinct is taken as it stands; the
+    lift-ring normalization must agree on every small raw sum."""
+
+    @pytest.mark.parametrize(
+        "p, m, vcap, length",
+        [(p, m, vcap, length) for p, m in [(2, 1), (3, 1), (2, 2)] for vcap in (1, 2, 3) for length in (1, 2)]
+        + [(3, 2, vcap, length) for vcap in (1, 2) for length in (1, 2)]
+        + [(2, 1, vcap, 3) for vcap in (1, 2)],
+    )
+    def test_every_short_raw_sum(self, p, m, vcap, length):
+        # a, b in 0..vcap (so rows at the cap are dropped), every c, 0 too
+        ctx = CartierContext(p, m, vcap)
+        monomials = [(a, b, c) for a in range(vcap + 1) for b in range(vcap + 1) for c in ctx.field.elements()]
+        for raw in product(monomials, repeat=length):
+            got, want = cartier_normalize(ctx, raw), lift_ring_normalize(ctx, raw)
+            assert (got.terms, got.truncated) == (want.terms, want.truncated), raw
+
+    def test_carry_free_normalization_builds_no_ring(self):
+        # over F_{31^3} the lift ring of a single monomial at V-cap 2 would
+        # have precision 7920 * 3 + 4; a monomial needs none
+        ctx = CartierContext(31, 3, vcap=2)
+        g = ctx.field.generator()
+        misses = unramified_ring.cache_info().misses
+        z = ctx.monomial(1, 0, g + 1) * ctx.monomial(0, 1, 3)
+        assert z.terms == {(1, 1): (g + 1) * 3} and not z.truncated
+        assert ctx.F().terms == {(0, 1): ctx.field(1)}
+        assert unramified_ring.cache_info().misses == misses
 
 
 class TestRelations:

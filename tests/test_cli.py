@@ -4,10 +4,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from itertools import count
 
 import pytest
 
-from isolab._arith import MAX_PRIME
+from isolab._arith import MAX_PRIME, is_prime
 from isolab.cartier import MAX_ARTIN_HASSE_DEGREE, MAX_WORKING_PRECISION, artin_hasse
 from isolab import cli
 from isolab.cli import MAX_POLYGON_HEIGHT, MAX_PRECISION, main, parse_polygon
@@ -16,15 +17,18 @@ from isolab.errors import InputError
 from isolab.newton import np_from_pairs
 from isolab.poset import MAX_POSET_HEIGHT
 from isolab.semimodule import MAX_SEMIMODULES
+from isolab.unramified import MAX_FIELD_BITS
 from isolab.weil import MAX_Q_BITS, weil_verify
 from isolab.witt import MAX_GHOST_BITS, WittContext
 
 
 # Over F_{31^3}, euler_phi(31^3 - 1) = 7920 guard digits per base-31 digit
-# of the weight put the working precision near 32,000.
+# of the weight put the working precision of the first diagonal of the
+# square that carries, the two (1, 1) terms, at 23,764.
 F_31_CUBED = json.dumps({"p": 31, "m": 3, "vcap": 2, "terms": [{"v": 0, "f": 1, "c": "3"}, {"v": 1, "f": 0, "c": "g+1"}]})
-# F^(10^11) needs over 10^11 digits; 2^(10^11) must never be formed
-HUGE_F_EXPONENT = json.dumps({"p": 2, "m": 1, "vcap": 2, "terms": [{"v": 0, "f": 10**11, "c": "1"}]})
+# F^(10^11) twice carries on a diagonal of over 10^11 digits; 2^(10^11)
+# must never be formed
+HUGE_F_EXPONENT = json.dumps({"p": 2, "m": 1, "vcap": 2, "terms": [{"v": 0, "f": 10**11, "c": "1"}] * 2})
 
 
 def run_cli(*argv, stdin=None, timeout=120):
@@ -281,6 +285,7 @@ class TestExitCodes:
             (["np-poly", "--coeffs", "1,1", "--p", str(MAX_PRIME)], MAX_PRIME),
             (["dieudonne", "serre-tate-torsion", "--exponents", "20000,20000", "--p", "2"], MAX_TORSION_BITS),
             (["witt", "ghost", "--p", "3", "--coords", ",".join(["2"] * 19)], MAX_GHOST_BITS),
+            (["witt", "add", "--p", "2", "--m", "100", "--a", "1", "--b", "1"], MAX_FIELD_BITS),
         ],
     )
     def test_size_over_its_cap_is_2(self, argv, cap):
@@ -325,6 +330,18 @@ class TestExitCodes:
         n = max(n for n in range(MAX_Q_BITS) if (3**n).bit_length() <= MAX_Q_BITS)
         with pytest.raises(InputError, match="cap of %d" % MAX_Q_BITS):
             weil_verify([1, 0, -(3 ** (n + 1))], 3, n + 1)
+        capsys.readouterr()
+        # 2^(MAX_FIELD_BITS - 1) has MAX_FIELD_BITS bits, and so has the
+        # largest prime below 2^MAX_FIELD_BITS
+        add = ["witt", "add", "--a", "1", "--b", "1", "--N", "2", "--p"]
+        assert main(add + ["2", "--m", str(MAX_FIELD_BITS - 1)]) == 0
+        assert main(add + ["2", "--m", str(MAX_FIELD_BITS)]) == 2
+        assert "field size 2^%d exceeds the cap of %d bits" % (MAX_FIELD_BITS, MAX_FIELD_BITS) in capsys.readouterr().err
+        below = next(q for q in range(2**MAX_FIELD_BITS - 1, 1, -1) if is_prime(q))
+        above = next(q for q in count(2**MAX_FIELD_BITS) if is_prime(q))
+        assert main(add + [str(below)]) == 0
+        assert main(add + [str(above)]) == 2
+        assert "field size %d^1 exceeds the cap of %d bits" % (above, MAX_FIELD_BITS) in capsys.readouterr().err
 
     def test_semimodule_cap_is_inclusive(self, capsys, monkeypatch):
         # (4,5) has 14 types and (2,29) has 15
@@ -361,19 +378,31 @@ class TestExitCodes:
         assert out == "" and "n must be >= 1" in err
 
     def test_cartier_working_precision_cap_is_inclusive(self, capsys):
-        # the element 1 at V-cap A is normalized at precision A + 2 + phi*(A + 1)
-        # guard digits, phi = euler_phi(p^m - 1): 3A + 4 over F_4, 2A + 3 over F_2
-        def one(p, m, vcap):
-            return json.dumps({"p": p, "m": m, "vcap": vcap, "terms": [{"v": 0, "f": 0, "c": "1"}]})
+        # <1> + <1> at V-cap A carries on diagonal 0 at precision A + 2 +
+        # phi*(A + 1) guard digits, phi = euler_phi(p^m - 1), since 2 + p^A has
+        # as many base-p digits as 1 + p^A: 3A + 4 over F_4, 2A + 3 over F_2
+        def one(p, m, vcap, times=2):
+            return json.dumps({"p": p, "m": m, "vcap": vcap, "terms": [{"v": 0, "f": 0, "c": "1"}] * times})
 
         at_cap = one(2, 2, (MAX_WORKING_PRECISION - 4) // 3)
         assert 3 * ((MAX_WORKING_PRECISION - 4) // 3) + 4 == MAX_WORKING_PRECISION
         assert main(["cartier", "mul", "--x", at_cap, "--y", at_cap]) == 0
-        assert capsys.readouterr().out == "Cartier(<1>)\n"
+        assert capsys.readouterr().out == "Cartier(V^2 <1> F^2)\n"
         over_cap = one(2, 1, (MAX_WORKING_PRECISION - 2) // 2)
         assert 2 * ((MAX_WORKING_PRECISION - 2) // 2) + 3 == MAX_WORKING_PRECISION + 1
         assert main(["cartier", "mul", "--x", over_cap, "--y", over_cap]) == 2
         assert "precision %d exceeds the cap of %d" % (MAX_WORKING_PRECISION + 1, MAX_WORKING_PRECISION) in capsys.readouterr().err
+        # <1> alone carries nothing, so it needs no working precision
+        single = one(2, 1, (MAX_WORKING_PRECISION - 2) // 2, times=1)
+        assert main(["cartier", "mul", "--x", single, "--y", single]) == 0
+        assert capsys.readouterr().out == "Cartier(<1>)\n"
+
+    def test_carry_free_huge_f_exponent_is_served(self, capsys):
+        # F^(10^11) squared is one term on one diagonal: no lift ring, and
+        # 2^(10^11) is never formed
+        once = json.dumps({"p": 2, "m": 1, "vcap": 2, "terms": [{"v": 0, "f": 10**11, "c": "1"}]})
+        assert main(["cartier", "mul", "--x", once, "--y", once]) == 0
+        assert capsys.readouterr().out == "Cartier(<1> F^200000000000)\n"
 
     def test_precision_error_is_3(self):
         payload = json.dumps({"p": 2, "m": 1, "N": 4, "h": 2, "F": [["16", "0"], ["0", "1"]]})

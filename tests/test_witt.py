@@ -1,6 +1,7 @@
 """Witt vectors: ghost oracle, coordinate views, ring structure."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,46 @@ class TestGhost:
     def test_inverse_rejects_non_integral(self):
         with pytest.raises(InputError):
             ghost_inverse([0, 1], 2)  # w_1 = 2 c_1 + c_0^2 forces c_1 = 1/2
+
+    @staticmethod
+    def formula_inverse(ghosts, p):
+        # every c_i^(p^(n-i)) formed afresh for each n
+        coords = []
+        for n, w in enumerate(ghosts):
+            num = w - sum(p**i * coords[i] ** (p ** (n - i)) for i in range(n))
+            if num % (p**n):
+                raise InputError("ghost vector has no integral Witt preimage")
+            coords.append(num // (p**n))
+        return coords
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_inverse_is_the_formula(self, p):
+        # the round trip on every coordinate vector of length <= 5 with
+        # entries 0..4, and every short ghost vector, integral or not
+        for length in range(6):
+            for coords in product(range(5), repeat=length):
+                ghosts = ghost_components(coords, p)
+                assert ghost_inverse(ghosts, p) == self.formula_inverse(ghosts, p) == list(coords)
+        for length in range(4):
+            for ghosts in product(range(-4, 5), repeat=length):
+                try:
+                    want = self.formula_inverse(ghosts, p)
+                except InputError as e:
+                    with pytest.raises(InputError, match=str(e)):
+                        ghost_inverse(ghosts, p)
+                else:
+                    assert ghost_inverse(ghosts, p) == want
+
+    def test_inverse_caps(self):
+        assert ghost_inverse([2**MAX_GHOST_COORDINATES - 1], 2) == [2**MAX_GHOST_COORDINATES - 1]
+        with pytest.raises(InputError, match="%d ghost coordinates exceed the cap of %d" % (MAX_GHOST_COORDINATES + 1, MAX_GHOST_COORDINATES)):
+            ghost_inverse([0] * (MAX_GHOST_COORDINATES + 1), 2)
+        with pytest.raises(InputError, match="w_2 of up to %d bits exceeds the cap of %d bits" % (MAX_GHOST_BITS + 1, MAX_GHOST_BITS)):
+            ghost_inverse([0, 0, 2**MAX_GHOST_BITS], 2)
+        # c_0 = 2^9998 is served, but its square in w_1 is bounded at 20,000
+        # bits and refused before it is formed
+        with pytest.raises(InputError, match="w_1 of up to 20000 bits exceeds the cap of %d bits" % MAX_GHOST_BITS):
+            ghost_inverse([2**9998] + [0] * 30, 2)
 
     @given(
         st.integers(0, 2),
