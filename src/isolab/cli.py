@@ -8,9 +8,13 @@ cartier and dieudonne is --N, else the environment variable
 ISOLAB_PRECISION, else 6; a presentation read from JSON takes its own "N",
 else ISOLAB_PRECISION, else h + 2.
 
-A request builds the root parser and only the subcommand its argv names;
-help, an abbreviated --format, "--" and a missing or unknown command build
-every subcommand, so each message reads as it does with the full parser.
+A well-formed request (--format X pairs, the command, its action, then
+options spelled as the table spells them, each at most once, with values
+argparse reads as values) is read straight from the argument table and
+builds no parser.  Any other argv goes to argparse, which words every help
+text and message: the root parser and only the subcommand argv names, or
+every subcommand for help, an abbreviated --format, "--" and a missing or
+unknown command, so each message reads as it does with the full parser.
 (This paragraph is left out of the --help description.)
 """
 
@@ -107,12 +111,17 @@ def parse_polygon(text):
 def _payload(value):
     """Inline JSON, a path, or '-' for stdin."""
     if value == "-":
-        return json.loads(sys.stdin.read())
-    stripped = value.strip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        return json.loads(stripped)
-    with open(value) as fh:
-        return json.load(fh)
+        text = sys.stdin.read()
+    else:
+        text = value.strip()
+        if not text.startswith(("{", "[")):
+            with open(value) as fh:
+                text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        # json recurses once per level of [ and {
+        raise InputError("JSON payload nested too deeply") from None
 
 
 def _precision(n, default):
@@ -486,10 +495,13 @@ _ACTIONS = {
 }
 
 
+_FORMATS = ("text", "json", "dot")
+
 # The one table of arguments, in the order --help lists them: command ->
 # (its help line, its options as (flag, add_argument keywords)); the action
-# positional comes from _ACTIONS.  An option's attribute is its "dest", else
-# its flag without the dashes.
+# positional comes from _ACTIONS and --format's choices from _FORMATS.  An
+# option's attribute is its "dest", else its flag without the leading
+# dashes, "-" read as "_".
 _COMMANDS = {
     "np": ("Newton polygon operations", (
         ("--pairs", {"help": 'polygon like "2*(1,0)+(2,1)+(1,5)"'}),
@@ -556,14 +568,15 @@ _COMMANDS = {
 
 
 def _command_named(argv):
-    """The command argv names when only --format X or --format=X precede it;
-    else None: what argparse prints for help, an abbreviated option, "--",
-    or a missing or unknown command depends on every command's parser."""
+    """The command argv names and its position, when only --format X or
+    --format=X precede it; else None: what argparse prints for help, an
+    abbreviated option, "--", or a missing or unknown command depends on
+    every command's parser."""
     i = 0
     while i < len(argv):
         token = argv[i]
         if token in _COMMANDS:
-            return token
+            return token, i
         if token == "--format":
             i += 2
         elif token.startswith("--format="):
@@ -573,10 +586,70 @@ def _command_named(argv):
     return None
 
 
+def _dest(flag, kwargs):
+    return kwargs.get("dest", flag[2:].replace("-", "_"))
+
+
+# argparse reads a token that starts with "-" as a value only when it is "-"
+# or matches this pattern (and no option of the parser does)
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _exact_args(argv):
+    """The namespace build_parser().parse_args(argv) returns, read from the
+    tables, for argv of one shape: --format X pairs, the command, its
+    action, then options exactly as the table spells them, each at most
+    once, every value one argparse reads as a value and accepts.  None for
+    any other argv (help, an abbreviation, "=", "--", a repeated or unknown
+    option, a missing or bad value, a missing required option), which
+    argparse parses itself."""
+    named = _command_named(argv)
+    if named is None:
+        return None
+    command, i = named
+    args = {"format": "text", "command": command}
+    for j in range(0, i, 2):
+        if argv[j] != "--format" or argv[j + 1] not in _FORMATS:
+            return None
+        args["format"] = argv[j + 1]
+    rest = argv[i + 1:]
+    if None not in _ACTIONS[command]:
+        if not rest or rest[0] not in _ACTIONS[command]:
+            return None
+        args["action"], rest = rest[0], rest[1:]
+    options = dict(_COMMANDS[command][1])
+    for flag, kwargs in options.items():
+        args[_dest(flag, kwargs)] = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+    seen = set()
+    tokens = iter(rest)
+    for flag in tokens:
+        kwargs = options.get(flag)
+        if kwargs is None or flag in seen:
+            return None
+        seen.add(flag)
+        if kwargs.get("action") == "store_true":
+            value = True
+        else:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and value != "-" and not _NEGATIVE_NUMBER.match(value):
+                return None
+            if "type" in kwargs:
+                try:
+                    value = kwargs["type"](value)
+                except ValueError:
+                    return None
+            if value not in kwargs.get("choices", (value,)):
+                return None
+        args[_dest(flag, kwargs)] = value
+    if any(kwargs.get("required") and flag not in seen for flag, kwargs in options.items()):
+        return None
+    return argparse.Namespace(**args)
+
+
 def build_parser(command=None):
     """The parser of every command, or of `command` alone."""
     root = _Parser(prog="isocrystal-lab", description=(__doc__ or "").rpartition("\n\n")[0])
-    root.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    root.add_argument("--format", choices=_FORMATS, default="text")
     # with one command registered, the metavar keeps the usage line that
     # argparse prints for unrecognized arguments and main's missing flags
     metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
@@ -593,17 +666,22 @@ def build_parser(command=None):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(_command_named(argv))
+    parser = None
     try:
-        args = parser.parse_args(argv)
+        args = _exact_args(argv)
+        if args is None:
+            named = _command_named(argv)
+            parser = build_parser(named[0] if named else None)
+            args = parser.parse_args(argv)
         action = getattr(args, "action", None)
         handler, needs = _ACTIONS[args.command][action]
         if args.command == "weil" and args.json:
             needs = ()  # the payload carries minpoly, p and n
-        flags = {kwargs.get("dest", flag[2:]): flag for flag, kwargs in _COMMANDS[args.command][1]}
+        flags = {_dest(flag, kwargs): flag for flag, kwargs in _COMMANDS[args.command][1]}
         missing = [flags[name] for name in needs if getattr(args, name) is None]
         if missing:
-            parser.error("%s %s requires %s" % (args.command, action, ", ".join(missing)))
+            message = "%s %s requires %s" % (args.command, action, ", ".join(missing))
+            (parser or build_parser(args.command)).error(message)
     except SystemExit as ex:
         return ex.code if ex.code is not None else USAGE_EXIT
     try:

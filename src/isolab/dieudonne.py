@@ -9,7 +9,7 @@ polynomial route, and the elementary divisors of deformation torus
 quotients in closed form.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from ._arith import charpoly, rank, require_prime, vp
@@ -331,11 +331,10 @@ MAX_TORSION_BITS = 10_000
 MAX_TORSION_G = 1000
 
 
-@dataclass(frozen=True)
-class TorsionProfile:
-    p: int
-    exponents: tuple
-    orders: tuple  # sorted multiset of cyclic orders, each a power of p
+class TorsionProfile(namedtuple("TorsionProfile", "p exponents orders")):
+    """`orders` is the sorted multiset of cyclic orders, each a power of p."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {"p": self.p, "exponents": list(self.exponents), "orders": [str(o) for o in self.orders]}

@@ -16,7 +16,7 @@ irrational real sqrt(q) / CM) and computes the division-algebra index as
 the lcm of the orders of the local invariants in Q/Z.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, isqrt, lcm
@@ -82,13 +82,10 @@ class WeilRejection(InputError):
         super().__init__("not a Weil number (%s)%s" % (reason, ": " + detail if detail else ""))
 
 
-@dataclass(frozen=True)
-class WeilNumber:
+class WeilNumber(namedtuple("WeilNumber", "minpoly p n")):
     """Validated q-Weil number. `minpoly` is descending, leading 1 first."""
 
-    minpoly: tuple
-    p: int
-    n: int
+    __slots__ = ()
 
     @property
     def e(self):
@@ -102,16 +99,11 @@ class WeilNumber:
         return {"minpoly": list(self.minpoly), "p": self.p, "n": self.n}
 
 
-@dataclass(frozen=True)
-class HondaTateData:
-    case: str  # "Re" | "Ro" | "C"
-    slopes: tuple  # v(pi)/v(q), one entry per unit of the hull
-    e0: int
-    e: int
-    d: int
-    g: int
-    albert: str
-    local_invariants: tuple  # ((place tag, Fraction mod 1), ...)
+class HondaTateData(namedtuple("HondaTateData", "case slopes e0 e d g albert local_invariants")):
+    """`case` is "Re", "Ro" or "C"; `slopes` holds v(pi)/v(q), one entry per
+    unit of the hull; `local_invariants` is ((place tag, Fraction mod 1), ...)."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {

@@ -1,10 +1,14 @@
 """End-to-end CLI: subcommands, exit codes, determinism, JSON round trips."""
 
 import hashlib
+import io
 import json
+import random
+import shlex
 import subprocess
 import sys
 from itertools import count
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,8 @@ F_31_CUBED = json.dumps({"p": 31, "m": 3, "vcap": 2, "terms": [{"v": 0, "f": 1, 
 # F^(10^11) twice carries on a diagonal of over 10^11 digits; 2^(10^11)
 # must never be formed
 HUGE_F_EXPONENT = json.dumps({"p": 2, "m": 1, "vcap": 2, "terms": [{"v": 0, "f": 10**11, "c": "1"}] * 2})
+# nested far deeper than the interpreter's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def run_cli(*argv, stdin=None, timeout=120):
@@ -369,6 +375,38 @@ class TestExitCodes:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err and "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["np", "dim", "--json", DEEP],
+            ["np", "construct", "--json", DEEP],
+            ["weil", "verify", "--json", DEEP],
+            ["weil", "classify", "--json", DEEP],
+            ["cartier", "mul", "--x", DEEP, "--y", "{}"],
+            ["cartier", "mul", "--x", '{"p": 2, "m": 1, "vcap": 2, "terms": []}', "--y", DEEP],
+            ["cartier", "act", "--x", DEEP, "--w", "1"],
+            ["dieudonne", "a-number", "--json", DEEP],
+            ["dieudonne", "np-display", "--json", DEEP],
+            ["dieudonne", "np-sigma-trivial", "--json", DEEP],
+            ["semimod", "normalize", "--json", DEEP],
+            ["semimod", "dual", "--json", DEEP],
+        ],
+    )
+    def test_deeply_nested_payload_is_2(self, capsys, argv):
+        # json.loads recurses once per level and once raised RecursionError
+        # out of main
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: JSON payload nested too deeply\n"
+
+    def test_deeply_nested_payload_from_stdin_or_a_file_is_2(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("sys.stdin", io.StringIO(DEEP))
+        assert main(["np", "dim", "--json", "-"]) == 2
+        path = tmp_path / "deep.json"
+        path.write_text("{\"pairs\": %s}" % DEEP)
+        assert main(["np", "dim", "--json", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: JSON payload nested too deeply\n" * 2)
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_weil_trace_n_below_one_is_2(self, capsys, n):
@@ -753,28 +791,44 @@ def test_one_command_parser_reads_as_the_full_parser(capsys, monkeypatch, argv):
     assert capsys.readouterr() == out
 
 
+# (argv, the command whose parser main builds or None for every command's,
+# whether main builds a parser at all); the ids keep the names these rows
+# had when every request built a parser
+BUILDS = [
+    (["np", "dim", "--pairs", "(1,1)"], "np", False),
+    (["--format", "json", "weil-trace", "--beta", "1", "--p", "2", "--n", "1"], "weil-trace", False),
+    (["--format=json", "--format", "text", "poset", "build", "--h", "4", "--d", "2"], "poset", True),
+    (["--fo", "json", "np", "dim", "--pairs", "(1,1)"], None, True),
+    (["--help"], None, True),
+    (["-h", "np"], None, True),
+    (["--", "np", "dim", "--pairs", "(1,1)"], None, True),
+    ([], None, True),
+    (["frobnicate"], None, True),
+    (["--format", "np", "dim", "--pairs", "(1,1)"], None, True),
+    (["np", "dim", "--pai", "(1,1)"], "np", True),
+    (["np", "dim", "--pairs=(1,1)"], "np", True),
+    (["poset", "build", "--h", "4", "--h", "5", "--d", "2"], "poset", True),
+    (["witt", "ghost", "--p", "x", "--coords", "1"], "witt", True),
+    (["np", "dim", "-h"], "np", True),
+    # well-formed, then refused for a missing flag: the parser is built for
+    # the usage message only
+    (["np", "compare", "--a", "(1,1)"], "np", True),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, command",
-    [
-        (["np", "dim", "--pairs", "(1,1)"], "np"),
-        (["--format", "json", "weil-trace", "--beta", "1", "--p", "2", "--n", "1"], "weil-trace"),
-        (["--format=json", "--format", "text", "poset", "build", "--h", "4", "--d", "2"], "poset"),
-        (["--fo", "json", "np", "dim", "--pairs", "(1,1)"], None),
-        (["--help"], None),
-        (["-h", "np"], None),
-        (["--", "np", "dim", "--pairs", "(1,1)"], None),
-        ([], None),
-        (["frobnicate"], None),
-        (["--format", "np", "dim", "--pairs", "(1,1)"], None),
-    ],
+    "argv, command, builds",
+    BUILDS,
+    ids=["argv%d-%s" % (i, command) for i, (_, command, _) in enumerate(BUILDS)],
 )
-def test_main_builds_the_parser_of_the_named_command(capsys, monkeypatch, argv, command):
-    # once per call, through the module attribute that perfbench traces
+def test_main_builds_the_parser_of_the_named_command(capsys, monkeypatch, argv, command, builds):
+    # a well-formed request builds no parser unless main refuses it; any
+    # other builds one, once, through the module attribute perfbench traces
     calls = []
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command=None: calls.append(command) or build(command))
     main(argv)
-    assert calls == [command]
+    assert calls == ([command] if builds else [])
 
 
 def test_a_request_builds_only_its_command(capsys, monkeypatch):
@@ -787,7 +841,115 @@ def test_a_request_builds_only_its_command(capsys, monkeypatch):
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
     assert main(["np", "dim", "--pairs", "(1,1)"]) == 0
+    assert built == []
+    assert main(["np", "dim", "--pai", "(1,1)"]) == 0
     assert built == ["isocrystal-lab", "isocrystal-lab np"]
     built.clear()
     cli.build_parser()
     assert built == ["isocrystal-lab"] + ["isocrystal-lab " + name for name in cli._ACTIONS]
+
+
+def _readme_requests():
+    """The argv of every `isocrystal-lab ...` example in README.md."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    requests = []
+    for line in readme.read_text().splitlines():
+        if line.startswith("isocrystal-lab "):
+            argv = shlex.split(line, comments=True)[1:]
+            requests.append(argv[: argv.index(">")] if ">" in argv else argv)
+    return requests
+
+
+README_REQUESTS = _readme_requests()
+PINNED_REQUESTS = [argv for argv, *_ in PINNED + SIGMA_PINNED + USAGE_PINNED] + README_REQUESTS
+
+# values argparse reads and accepts, then near misses (flag-like, out of
+# int's range, or not an int)
+_INT_VALUES = (("0", "1", "2", "3", "5", "7", "-1", "-3", " 4", "+2", "1_0"), ("", "x", "1.5", "-.5", "-x", "9" * 5000))
+_TEXT_VALUES = (("(1,1)", "2*(1,0)+(0,1)", "1,2", "1,-1,2", "{}", "iso", "ord", "np", "", "-", "-1", "-.5"), ("-1.", "-x", "--a", "-1 2", "--"))
+_STRAY = ("extra", "-h", "--help", "--", "--format", "json", "-x", "--nope", "-5", "--p=2")
+
+
+def _option_tokens(rng, flag, kwargs):
+    if kwargs.get("action") == "store_true":
+        value = None
+    else:
+        good, bad = _INT_VALUES if "type" in kwargs else _TEXT_VALUES
+        value = rng.choice(good if rng.random() < 0.9 else bad)
+    shape = rng.random()
+    if shape < 0.03 and len(flag) > 3:
+        flag = flag[:-1]  # an abbreviation
+    elif shape < 0.06 and value is not None:
+        return [flag + "=" + value]
+    elif shape < 0.08:
+        value = None  # a missing value, unless the option takes none
+    return [flag] if value is None else [flag, value]
+
+
+def _random_argv(rng):
+    """One argv from the command tables: well-formed requests, and near
+    misses that argparse must read (or refuse) itself."""
+    argv = []
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        if rng.random() < 0.9:
+            argv += ["--format", rng.choice(cli._FORMATS)]
+        else:
+            argv += rng.choice((["--format", "xml"], ["--format=json"], ["--fo", "json"], ["--format"]))
+    command = rng.choice(tuple(cli._COMMANDS))
+    if rng.random() < 0.03:
+        return argv + rng.choice((["frobnicate"], ["--", command], []))
+    options = list(cli._COMMANDS[command][1])
+    picked = [option for option in options if rng.random() < (0.95 if option[1].get("required") else 0.3)]
+    rng.shuffle(picked)
+    if picked and rng.random() < 0.05:
+        picked.append(rng.choice(picked))  # a repeated option
+    tokens = [token for flag, kwargs in picked for token in _option_tokens(rng, flag, kwargs)]
+    if None not in cli._ACTIONS[command] and rng.random() < 0.97:
+        action = rng.choice(tuple(cli._ACTIONS[command])) if rng.random() < 0.95 else "frobnicate"
+        tokens.insert(0 if rng.random() < 0.9 else rng.randrange(len(tokens) + 1), action)
+    if rng.random() < 0.05:
+        tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(_STRAY))
+    return argv + [command] + tokens
+
+
+def _agrees_with_argparse(argv):
+    """Whether argv is read from the tables; asserts that the namespace read
+    there is the one the full parser returns."""
+    fast = cli._exact_args(argv)
+    if fast is not None:
+        assert vars(fast) == vars(cli.build_parser().parse_args(argv)), argv
+    return fast is not None
+
+
+def test_fast_path_agrees_with_argparse_on_the_pinned_requests(capsys):
+    assert len(README_REQUESTS) >= 10
+    read = [argv for argv in PINNED_REQUESTS if _agrees_with_argparse(argv)]
+    assert all(argv in read for argv in README_REQUESTS)
+    assert len(read) >= len(PINNED) + len(SIGMA_PINNED)
+
+
+def test_fast_path_agrees_with_argparse_on_generated_argv(capsys):
+    rng = random.Random(18)
+    generated = [_random_argv(rng) for _ in range(1500)]
+    read = sum(_agrees_with_argparse(argv) for argv in generated)
+    # both kinds occur often enough to test anything
+    assert 300 <= read <= 1200
+
+
+def test_main_reads_as_argparse_when_the_fast_path_is_off(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("ISOLAB_PRECISION", raising=False)
+    rng = random.Random(7)
+    for argv in PINNED_REQUESTS + [_random_argv(rng) for _ in range(200)]:
+        outcomes = []
+        for fast in (cli._exact_args, lambda argv: None):
+            monkeypatch.setattr(cli, "_exact_args", fast)
+            monkeypatch.setattr("sys.stdin", io.StringIO(""))
+            outcomes.append((main(argv), capsys.readouterr()))
+        assert outcomes[0] == outcomes[1], argv
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    code = "import sys, isolab.cli; print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"

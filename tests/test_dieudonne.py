@@ -397,6 +397,17 @@ class TestSerreTate:
     def test_g3_example(self):
         assert serre_tate_torsion((1, 2, 2), 3).orders == (3, 3, 9)
 
+    def test_profile_record(self):
+        # the record was a frozen dataclass: repr, equality within the class,
+        # hash (of the field tuple) and JSON are as they were
+        prof = serre_tate_torsion((1, 2, 2), 3)
+        assert repr(prof) == "TorsionProfile(p=3, exponents=(1, 2, 2), orders=(3, 3, 9))"
+        assert prof == serre_tate_torsion([1, 2, 2], 3) and prof != serre_tate_torsion((1, 2, 3), 3)
+        assert hash(prof) == hash((3, (1, 2, 2), (3, 3, 9)))
+        assert prof.to_json() == {"p": 3, "exponents": [1, 2, 2], "orders": ["3", "3", "9"]}
+        with pytest.raises(AttributeError):
+            prof.orders = ()
+
     def test_matches_closed_form(self):
         for p in (2, 3):
             for g in range(1, 6):

@@ -298,6 +298,40 @@ class TestVerify:
         assert exc.value.reason == "root-modulus"
 
 
+class TestRecords:
+    # the records were frozen dataclasses: repr, equality within the class,
+    # hash (of the field tuple) and JSON are as they were
+    def test_weil_number(self):
+        w = weil_verify([1, -1, 2], 2, 1)
+        assert repr(w) == "WeilNumber(minpoly=(1, -1, 2), p=2, n=1)"
+        assert w == weil_verify([1, -1, 2], 2, 1) and w != weil_verify([1, 1, 2], 2, 1)
+        assert hash(w) == hash(((1, -1, 2), 2, 1))
+        assert w.to_json() == {"minpoly": [1, -1, 2], "p": 2, "n": 1}
+        with pytest.raises(AttributeError):
+            w.p = 3
+
+    def test_honda_tate_data(self):
+        ht = honda_tate(weil_verify([1, -1, 2], 2, 1))
+        assert repr(ht) == (
+            "HondaTateData(case='C', slopes=(Fraction(0, 1), Fraction(1, 1)), e0=1, e=2, d=1, g=1, albert='IV(1,1)', "
+            "local_invariants=(('p|0:deg=1', Fraction(0, 1)), ('p|1:deg=1', Fraction(0, 1))))"
+        )
+        assert ht == honda_tate(weil_verify([1, -1, 2], 2, 1)) and ht != honda_tate(weil_verify([1, 0, -2], 2, 1))
+        assert hash(ht) == hash((ht.case, ht.slopes, ht.e0, ht.e, ht.d, ht.g, ht.albert, ht.local_invariants))
+        assert ht.to_json() == {
+            "case": "C",
+            "slopes": ["0", "1"],
+            "e0": 1,
+            "e": 2,
+            "d": 1,
+            "g": 1,
+            "albert": "IV(1,1)",
+            "local_invariants": [["p|0:deg=1", "0"], ["p|1:deg=1", "0"]],
+        }
+        with pytest.raises(AttributeError):
+            ht.g = 2
+
+
 class TestFromRealTrace:
     def test_examples(self):
         assert weil_from_real_trace(1, 2, 1).minpoly == (1, -1, 2)
