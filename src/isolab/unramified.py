@@ -4,15 +4,16 @@ The ring behind every Witt/Dieudonne computation here is
 Z[x] / (p^N, hbar(x)) where hbar is a fixed monic degree-m polynomial that
 is irreducible mod p.  Reduction mod p gives F_{p^m}; sigma is the unique
 ring automorphism lifting a |-> a^p, obtained by Hensel-lifting the root
-x^p of hbar.  Working at explicit precision N keeps every valuation claim
-certifiable.
+x^p of hbar by Newton's method with a carried inverse of hbar', so a cold
+ring costs O(m log N) products.  Working at explicit precision N keeps
+every valuation claim certifiable.
 """
 
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from ._arith import factor_degrees, poly_deriv, poly_divmod, poly_eval, poly_mul, poly_mulmod, poly_sub, poly_trim, power, require_prime, vp
+from ._arith import factor_degrees, poly_deriv, poly_divmod, poly_mul, poly_mulmod, poly_sub, poly_trim, power, require_prime, vp
 from .errors import InputError, PrecisionError
 
 # Largest bit length of the field size p^m.  On a 2-vCPU Xeon a fresh-process
@@ -242,6 +243,15 @@ class UElement:
         c += [0] * (ring.m - len(c))
         self.coeffs = tuple(c[: ring.m])
 
+    @classmethod
+    def _reduced(cls, ring, coeffs):
+        """The element of at most m coefficients already reduced mod p^N,
+        as `poly_mulmod` returns them: padded, not reduced again."""
+        e = cls.__new__(cls)
+        e.ring = ring
+        e.coeffs = tuple(coeffs) + (0,) * (ring.m - len(coeffs))
+        return e
+
     def _same(self, other):
         if isinstance(other, int):
             return UElement(self.ring, [other])
@@ -264,7 +274,7 @@ class UElement:
         if isinstance(other, int):
             return UElement(self.ring, [other * a for a in self.coeffs])
         r = self.ring
-        return UElement(r, poly_mulmod(self.coeffs, self._same(other).coeffs, r.modulus, r.pN))
+        return UElement._reduced(r, poly_mulmod(self.coeffs, self._same(other).coeffs, r.modulus, r.pN))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -322,6 +332,27 @@ class UnramifiedRing:
     sigma is a genuine ring automorphism reducing to a |-> a^p mod p and
     satisfying sigma^m = id; both facts are asserted at construction.  Like
     the field's Frobenius, sigma^k is a matrix filled once per k mod m.
+
+    sigma(x) is the root r of hbar with r = x^p mod p, found by Newton's
+    method with a carried approximate inverse z of hbar'(r):
+
+        r <- r - hbar(r) z,   then   z <- z (2 - hbar'(r) z),
+
+    from r_0 = x^p and z_0 a lift of the inverse of hbar'(r_0) mod p, the
+    one inversion.  Both values come from one table of the powers
+    r^0..r^m, scaled by hbar's integer coefficients: m - 1 products a
+    step, plus three for the updates.  Write a_k = v(hbar(r_k)) and
+    b_k = v(1 - hbar'(r_k) z_k).  Then a_0 >= 1, since hbar(x^p) =
+    hbar(x)^p = 0 mod p, and b_0 >= 1.  With d = r_{k+1} - r_k =
+    -hbar(r_k) z_k, of valuation >= a_k, Taylor's formula gives
+    hbar(r_{k+1}) = hbar(r_k)(1 - hbar'(r_k) z_k) + O(d^2), so
+    a_{k+1} >= a_k + min(a_k, b_k).  And 1 - hbar'(r_{k+1}) z_{k+1} =
+    (1 - hbar'(r_{k+1}) z_k)^2 with hbar'(r_{k+1}) = hbar'(r_k) mod d, so
+    b_{k+1} >= 2 min(a_k, b_k).  So min(a_k, b_k) >= 2^k and a_k >= 2^k:
+    ceil(log2 N) steps reach p^N.  The loop stops as soon as hbar(r) = 0
+    mod p^N, that is at once for N = 1 and for m = 1 (hbar = x, r = 0),
+    and the columns of sigma's matrix are the powers r^0..r^(m-1) of the
+    last table.
     """
 
     def __init__(self, p, m, N):
@@ -330,18 +361,23 @@ class UnramifiedRing:
         self.field = finite_field(p, m)
         self.p, self.m, self.N = p, m, N
         self.pN = p**N
-        self.modulus = self.field.modulus
+        self.modulus = f = self.field.modulus
         self._teichmuller = {}
-        # sigma(x) is the root of hbar over x^p, Hensel-lifted from mod p
-        f, df = self.modulus, poly_deriv(self.modulus)
+        df = poly_deriv(f)
         x = y = UElement(self, [0, 1])
-        r = x**p
-        for _ in range((N - 1).bit_length() + 1):
-            r = r - poly_eval(f, r) * poly_eval(df, r).inverse()
-        if not poly_eval(f, r).is_zero():
+        r, z = x**p, None
+        for _ in range((N - 1).bit_length() + 2):
+            powers = [self.one(), *accumulate([r] * m, mul)]  # r^0..r^m
+            rows = list(zip(*(c.coeffs for c in powers)))
+            value = UElement(self, _apply(rows, f))
+            if value.is_zero():
+                break
+            slope = UElement(self, _apply(rows, df))
+            z = UElement(self, slope.residue().inverse().coeffs) if z is None else z * (2 - slope * z)
+            r = r - value * z
+        else:
             raise PrecisionError("Frobenius lift did not converge")
-        self._sigma = {}
-        _frobenius_rows(self, self._sigma, 1, r)
+        self._sigma = {1 % m: [row[:m] for row in rows]}
         for _ in range(m):
             y = self.sigma(y)
         if y != x:

@@ -352,13 +352,21 @@ def _horner(ring, coeffs, point):
     return out
 
 
+def _horner_newton_root(ring):
+    """sigma(x) as the ring once found it: a fixed (N - 1).bit_length() + 1
+    Newton steps on hbar from x^p, each evaluating hbar and hbar' by Horner
+    and inverting hbar'(r) afresh."""
+    r = UElement(ring, [0, 1]) ** ring.p
+    for _ in range((ring.N - 1).bit_length() + 1):
+        r = r - _horner(ring, ring.modulus, r) * _horner(ring, poly_deriv(ring.modulus), r).inverse()
+    return r
+
+
 def _horner_sigma_powers(ring):
     """sigma^k(x) for k < m, as the ring once built them: sigma(x) by Newton
     on hbar from x^p, then sigma^k(x) = sigma^(k-1)(x) evaluated at sigma(x)."""
     x = UElement(ring, [0, 1])
-    r = x**ring.p
-    for _ in range(max(1, (ring.N - 1).bit_length() + 1)):
-        r = r - _horner(ring, ring.modulus, r) * _horner(ring, poly_deriv(ring.modulus), r).inverse()
+    r = _horner_newton_root(ring)
     powers = [x, r]
     while len(powers) < ring.m:
         powers.append(_horner(ring, powers[-1].coeffs, r))
@@ -369,6 +377,30 @@ def _horner_sigma(ring, powers, a, k):
     """sigma^k(a) as a(sigma^k(x)), evaluated by Horner."""
     k %= ring.m
     return a if k == 0 else _horner(ring, a.coeffs, powers[k])
+
+
+class TestRingBuild:
+    """The carried-inverse Hensel lift against the Horner Newton step it
+    replaced."""
+
+    @staticmethod
+    def check(p, m, N):
+        ring = UnramifiedRing(p, m, N)
+        r = _horner_newton_root(ring)
+        assert _horner(ring, ring.modulus, r).is_zero()
+        cols = [ring.one()]
+        while len(cols) < m:
+            cols.append(cols[-1] * r)
+        assert ring._sigma == {1 % m: list(zip(*(c.coeffs for c in cols)))}, N
+
+    @pytest.mark.parametrize("p, m", SMALL_FIELDS)
+    def test_sigma_rows_are_the_horner_newton_rows(self, p, m):
+        for N in (1, 2, 3, 5, 8, 40):
+            self.check(p, m, N)
+
+    @pytest.mark.parametrize("p, m, N", [(2, 12, 10), (3, 6, 30)])
+    def test_sigma_rows_of_a_large_field(self, p, m, N):
+        self.check(p, m, N)
 
 
 class TestSigmaMatrices:

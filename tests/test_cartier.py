@@ -7,8 +7,9 @@ from math import factorial
 
 import pytest
 
-from isolab._arith import base_p_digits
+from isolab._arith import base_p_digits, is_prime
 from isolab.cartier import (
+    MAX_ARTIN_HASSE_DEGREE,
     MAX_WORKING_PRECISION,
     CartierContext,
     CartierElement,
@@ -397,7 +398,33 @@ class TestAction:
             ctx.monomial(3, 0, 1).act(w)
 
 
+def _artin_hasse_convolution(p, degree):
+    """The Artin-Hasse coefficients as the library once computed them:
+    (k + 1) a_(k+1) = sum_i g'_i a_(k-i), a full convolution with the
+    mostly zero g' = -sum x^(p^n - 1)."""
+    gprime = [Fraction(0)] * degree
+    q = 1
+    while q - 1 < degree:
+        gprime[q - 1] = Fraction(-1)
+        q *= p
+    coeffs = [Fraction(1)]
+    for k in range(degree):
+        acc = sum((gprime[i] * coeffs[k - i] for i in range(k + 1)), Fraction(0))
+        coeffs.append(acc / (k + 1))
+    return coeffs
+
+
 class TestArtinHasse:
+    @pytest.mark.parametrize("p", [p for p in range(98) if is_prime(p)])
+    def test_sparse_recurrence_is_the_convolution(self, p):
+        want = _artin_hasse_convolution(p, 120)
+        for degree in range(1, 121):
+            assert artin_hasse(p, degree) == want[: degree + 1], degree
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_sparse_recurrence_at_the_cap(self, p):
+        assert artin_hasse(p, MAX_ARTIN_HASSE_DEGREE) == _artin_hasse_convolution(p, MAX_ARTIN_HASSE_DEGREE)
+
     def test_constant_and_linear(self):
         for p in (2, 3, 5):
             c = artin_hasse(p, 4)

@@ -2,7 +2,6 @@
 each run in a fresh process."""
 
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,13 +13,11 @@ SCRIPTS = ["poset_gallery.py", "stratum_dimensions.py", "weil_census.py"]
 
 
 def run_script(name, *argv, cwd=None):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=env,
         timeout=60,
     )
 
