@@ -49,9 +49,10 @@ class DieudonnePresentation:
         ring = self.context.ring
         fsv = _matmul(self.F, _mat_sigma(ring, self.V, 1))
         vsf = _matmul(self.V, _mat_sigma(ring, self.F, -1))
+        zero, p = ring.zero(), ring.from_int(self.context.p)
         for i in range(self.h):
             for j in range(self.h):
-                want = self.context.p if i == j else 0
+                want = p if i == j else zero
                 if fsv[i][j] != want or vsf[i][j] != want:
                     raise InputError("F.sigma(V) and V.sigma^-1(F) must both be p*Id")
 
@@ -99,19 +100,19 @@ def _as_matrix(context, rows):
 
 
 def _matmul(A, B):
-    n = len(A)
-    ring0 = A[0][0].ring
+    # skip zero entries of both factors: a G_{m,n} presentation has one
+    # nonzero per row; each sum starts from its first product
+    zero = A[0][0].ring.zero()
+    nonzero = [[(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in B]
     out = []
-    for i in range(n):
-        # skip zero entries: a G_{m,n} presentation has one nonzero per row
-        terms = [(a, B[k]) for k, a in enumerate(A[i]) if not a.is_zero()]
-        row = []
-        for j in range(n):
-            acc = ring0.zero()
-            for a, b in terms:
-                acc = acc + a * b[j]
-            row.append(acc)
-        out.append(tuple(row))
+    for row in A:
+        acc = [None] * len(B[0])
+        for a, terms in zip(row, nonzero):
+            if a.is_zero():
+                continue
+            for j, b in terms:
+                acc[j] = a * b if acc[j] is None else acc[j] + a * b
+        out.append(tuple(zero if s is None else s for s in acc))
     return tuple(out)
 
 

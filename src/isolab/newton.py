@@ -132,7 +132,9 @@ class NewtonPolygon:
 
     def heights(self):
         """Integer height vector (L, ys), computed once: ys[x] = L*value(x)
-        for x = 0..h, with L the lcm of the slope denominators."""
+        for x = 0..h, with L a common multiple of the slope denominators:
+        the least one for a polygon built from its vertices, lcm(1..h) for
+        a polygon returned by `poset.enumerate_polygons`."""
         if self._heights is None:
             segments = _segments(self.vertices)
             L = lcm(*(span // gcd(rise, span) for rise, span in segments))

@@ -4,18 +4,19 @@ Elements are enumerated as integer vertex paths (strictly increasing
 segment slopes in [0,1], integral breakpoints), the polygons' own format,
 in slope-list order and with no `Fraction` anywhere; the order is the
 exact pointwise comparison, with the isoclinic polygon at the bottom and
-the ordinary polygon on top.  Each element's strict up-set is a
-Python-int bitset, read off the polygons' integer height vectors; covers
-are the transitive reduction (Aho, Garey and Ullman, SIAM J. Comput.
-1972).  The poset is ranked (checked, not assumed) and the rank offsets
-reproduce the lattice-point dimension formulas.  Chains and witnesses
-are built on the interval between their ends alone: a specialization
-runs along any saturated chain of that interval (Oort, Ann. of Math. 152,
-2000).
+the ordinary polygon on top.  One enumeration works on one integer height
+scale, L = lcm(1..h), carried by each path as the polygon's `heights()`;
+each element's strict up-set is a Python-int bitset, built per abscissa
+from one mask per height and a prefix OR; covers are the transitive
+reduction (Aho, Garey and Ullman, SIAM J. Comput. 1972).  The poset is
+ranked (checked, not assumed) and the rank offsets reproduce the
+lattice-point dimension formulas.  Chains and witnesses are built on the
+interval between their ends alone: a specialization runs along any
+saturated chain of that interval (Oort, Ann. of Math. 152, 2000).
 """
 
 from bisect import bisect_right
-from itertools import groupby
+from functools import cache
 from math import lcm
 
 from .errors import InputError
@@ -42,10 +43,10 @@ __all__ = [
 # The number of polygons grows exponentially with h, about doubling with
 # each step of 2, and d = h/2 has the most.  On a 2-vCPU Xeon, in a fresh
 # process, `poset build`, `dot`, `chain --from iso --to ord` and `witness`
-# at (h, h/2) each take 0.17-0.23 s and 20-21 MiB at h = 18 (1,882
-# elements), 0.22-0.33 s and 27 MiB at 20, 0.49-0.53 s and 41-46 MiB at 22
-# (8,179 elements), 0.59-0.78 s and 57-65 MiB at 23, and 1.2-1.3 s and
-# 88-98 MiB at 24.
+# at (h, h/2) each take 0.15-0.23 s and 19-21 MiB at h = 18 (1,882
+# elements), 0.21-0.35 s and 23-28 MiB at 20, 0.33-0.65 s and 36-47 MiB at
+# 22 (8,179 elements), 0.54-0.92 s and 50-62 MiB at 23, and 0.73-1.7 s and
+# 77-93 MiB at 24 (16,636 elements); three runs each.
 MAX_POSET_HEIGHT = 22
 
 
@@ -61,16 +62,18 @@ def check_endpoints(h, d, symmetric=False):
         raise InputError("poset height %d exceeds the cap of %d" % (h, MAX_POSET_HEIGHT))
 
 
+@cache
 def _edges(h, d):
-    """Every edge (rise, span) that a polygon to (h,d) can have, by
+    """Every edge (rise, span, step) that a polygon to (h,d) can have, by
     increasing slope rise/span, the longer edge first among equal slopes;
     and for each edge the index of the first steeper one.  Every span
-    divides L, so rise * (L // span) is L times the slope."""
+    divides L = lcm(1..h), so step = rise * (L // span) is L times the
+    slope.  Endpoints are checked first, so there are at most 23 * 23 keys."""
     L = lcm(*range(1, h + 1))
-    edges = [(rise, span) for span in range(1, h + 1) for rise in range(min(span, d) + 1) if span - rise <= h - d]
-    edges.sort(key=lambda e: (e[0] * (L // e[1]), -e[1]))
-    slopes = [rise * (L // span) for rise, span in edges]
-    return edges, [bisect_right(slopes, s) for s in slopes]
+    edges = [(rise, span, rise * (L // span)) for span in range(1, h + 1) for rise in range(min(span, d) + 1) if span - rise <= h - d]
+    edges.sort(key=lambda e: (e[2], -e[1]))
+    slopes = [step for _, _, step in edges]
+    return L, tuple(edges), tuple(bisect_right(slopes, s) for s in slopes)
 
 
 def enumerate_polygons(h, d, symmetric=False, band=None):
@@ -83,38 +86,41 @@ def enumerate_polygons(h, d, symmetric=False, band=None):
     walk over first edges by increasing slope, the longer of two equal
     slopes first, meets the polygons in order.  An edge is taken only when
     a strictly steeper edge within slope 1 can still close the path, so
-    without a band every branch ends in a polygon.
+    without a band every branch ends in a polygon.  Each path carries its
+    height column ys at L = lcm(1..h), which becomes the polygon's
+    `heights()`; the band test reads it, and so does the symmetric filter:
+    ys[h-x] = ys[x] + L*(d-x).
     """
     check_endpoints(h, d, symmetric)
+    L, edges, after = _edges(h, d)
     if band is not None:
-        # both bounds at one denominator L: polygon heights are ys[x] / L
-        (L1, lo), (L2, hi) = (z.heights() for z in band)
-        L = lcm(L1, L2)
-        lo, hi = [y * (L // L1) for y in lo], [y * (L // L2) for y in hi]
-    edges, after = _edges(h, d)
+        # a bound's own scale divides L: every span is at most h
+        lo, hi = ([y * (L // Lz) for y in ys] for Lz, ys in (z.heights() for z in band))
     out = []
 
-    def extend(path, start):
+    def extend(path, ys, start):
         x, y = path[-1]
         dx, dy = h - x, d - y
         for k in range(start, len(edges)):
-            rise, span = edges[k]
+            rise, span, step = edges[k]
             if rise * dx > dy * span:
                 break  # steeper than the chord to (h,d): the rest cannot close
             if span > dx or span - rise > dx - dy:
                 continue  # past x = h, or the rest would need a slope above 1
-            if band is not None and not all(
-                span * lo[x + t] <= L * (span * y + rise * t) <= span * hi[x + t] for t in range(1, span + 1)
-            ):
+            closes = rise * dx == dy * span
+            if closes and span < dx:
+                continue  # along the chord, only to its end
+            column = ys + [ys[-1] + step * t for t in range(1, span + 1)]
+            if band is not None and not all(lo[u] <= column[u] <= hi[u] for u in range(x + 1, x + span + 1)):
                 continue
-            if rise * dx < dy * span:
-                extend(path + [(x + span, y + rise)], after[k])
-            elif span == dx:  # along the chord, only to its end
+            if not closes:
+                extend(path + [(x + span, y + rise)], column, after[k])
+            elif not symmetric or all(column[h - u] == column[u] + L * (d - u) for u in range(1, d)):
                 z = NewtonPolygon(path + [(h, d)])
-                if not symmetric or z.is_symmetric():
-                    out.append(z)
+                z._heights = (L, column)
+                out.append(z)
 
-    extend([(0, 0)], 0)
+    extend([(0, 0)], [0], 0)
     return out
 
 
@@ -132,22 +138,22 @@ def _up_sets(polygons):
     """Bit j of up[i] is set when polygon i lies on or above polygon j at
     every abscissa and i != j (for distinct polygons: i < j).
 
-    The height vectors are brought to one denominator; then, abscissa by
-    abscissa, each polygon keeps only the polygons at most as high there.
+    The height columns share one scale, as `enumerate_polygons` gives
+    them; at each abscissa a polygon keeps the polygons at most as high,
+    the OR of the masks of the heights up to its own.
     """
     n = len(polygons)
-    L = lcm(*(z.heights()[0] for z in polygons))
-    # every polygon has height 0 at x = 0 and d at x = h
-    columns = zip(*([y * (L // Lz) for y in ys[1:-1]] for Lz, ys in (z.heights() for z in polygons)))
     up = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
-    for col in columns:
+    # every polygon has height 0 at x = 0 and L*d at x = h
+    for col in zip(*(z.heights()[1][1:-1] for z in polygons)):
+        masks = {}
+        for i, y in enumerate(col):
+            masks[y] = masks.get(y, 0) | 1 << i
         lower = 0
-        for _, group in groupby(sorted(range(n), key=col.__getitem__), key=col.__getitem__):
-            group = list(group)
-            for i in group:
-                lower |= 1 << i
-            for i in group:
-                up[i] &= lower
+        for y in sorted(masks):
+            lower = masks[y] = lower | masks[y]
+        for i, y in enumerate(col):
+            up[i] &= masks[y]
     return up
 
 

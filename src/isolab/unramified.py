@@ -71,6 +71,15 @@ class FFElement:
         c += [0] * (field.m - len(c))
         self.coeffs = tuple(c[: field.m])
 
+    @classmethod
+    def _reduced(cls, field, coeffs):
+        """The element of at most m coefficients already reduced mod p, as
+        `poly_mulmod` returns them: padded, not reduced again."""
+        e = cls.__new__(cls)
+        e.field = field
+        e.coeffs = tuple(coeffs) + (0,) * (field.m - len(coeffs))
+        return e
+
     def __add__(self, other):
         other = self.field.coerce(other)
         return FFElement(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
@@ -84,7 +93,7 @@ class FFElement:
 
     def __mul__(self, other):
         other = self.field.coerce(other)
-        return FFElement(self.field, poly_mulmod(self.coeffs, other.coeffs, self.field.modulus, self.field.p))
+        return FFElement._reduced(self.field, poly_mulmod(self.coeffs, other.coeffs, self.field.modulus, self.field.p))
 
     __radd__ = __add__
     __rmul__ = __mul__

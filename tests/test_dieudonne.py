@@ -14,6 +14,7 @@ from isolab.dieudonne import (
     MAX_TORSION_G,
     DieudonnePresentation,
     DisplayNormalForm,
+    _matmul,
     _np_of_display_general,
     a_number,
     display_matrix,
@@ -28,6 +29,7 @@ from isolab.dieudonne import (
 from isolab.errors import InputError, PrecisionError
 from isolab.newton import np_from_pairs
 from isolab.snf import elementary_divisors, smith_normal_form
+from isolab.unramified import unramified_ring
 from isolab.witt import WittContext
 
 
@@ -440,6 +442,34 @@ class TestSerreTate:
     def test_unsorted_rejected(self):
         with pytest.raises(InputError):
             serre_tate_torsion((3, 1), 2)
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("p, m, N", [(2, 1, 4), (3, 2, 3), (5, 1, 5)])
+    def test_matches_dense_schoolbook_product(self, p, m, N):
+        # every product summed from zero, zero entries included
+        rng = random.Random(p * 100 + m * 10 + N)
+        ring = unramified_ring(p, m, N)
+
+        def entry():
+            if rng.random() < 0.4:
+                return ring.zero()
+            return ring.from_coeffs([rng.randrange(ring.pN) for _ in range(m)])
+
+        for _ in range(60):
+            n = rng.randrange(1, 6)
+            A = [[entry() for _ in range(n)] for _ in range(n)]
+            B = [[entry() for _ in range(n)] for _ in range(n)]
+            want = []
+            for i in range(n):
+                row = []
+                for j in range(n):
+                    acc = ring.zero()
+                    for k in range(n):
+                        acc = acc + A[i][k] * B[k][j]
+                    row.append(acc)
+                want.append(tuple(row))
+            assert _matmul(A, B) == tuple(want), (A, B)
 
 
 class TestSnf:

@@ -4,7 +4,10 @@ import fractions
 import hashlib
 import json
 import re
+from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
+from itertools import groupby
 from math import lcm
 
 import pytest
@@ -23,7 +26,9 @@ from isolab.newton import (
     render_pairs,
 )
 from isolab.poset import (
+    MAX_POSET_HEIGHT,
     NPPoset,
+    check_endpoints,
     dot_export,
     enumerate_polygons,
     isoclinic_polygon,
@@ -63,6 +68,64 @@ def oracle_breakpoint_dfs(h, d, symmetric):
     polys = [z for z in out if not symmetric or z.is_symmetric()]
     L = lcm(*range(1, h + 1))
     return sorted(polys, key=lambda z: [y * (L // z.heights()[0]) for y in z.heights()[1]])
+
+
+def oracle_enumerate_polygons(h, d, symmetric=False, band=None):
+    """The slope-order walk over vertex paths alone: each polygon's heights
+    are its own, at the least common denominator, the band is brought to
+    one denominator per call, and symmetry is tested on each candidate."""
+    check_endpoints(h, d, symmetric)
+    if band is not None:
+        (L1, lo), (L2, hi) = (z.heights() for z in band)
+        L = lcm(L1, L2)
+        lo, hi = [y * (L // L1) for y in lo], [y * (L // L2) for y in hi]
+    M = lcm(*range(1, h + 1))
+    edges = [(rise, span) for span in range(1, h + 1) for rise in range(min(span, d) + 1) if span - rise <= h - d]
+    edges.sort(key=lambda e: (e[0] * (M // e[1]), -e[1]))
+    slopes = [rise * (M // span) for rise, span in edges]
+    after = [bisect_right(slopes, s) for s in slopes]
+    out = []
+
+    def extend(path, start):
+        x, y = path[-1]
+        dx, dy = h - x, d - y
+        for k in range(start, len(edges)):
+            rise, span = edges[k]
+            if rise * dx > dy * span:
+                break
+            if span > dx or span - rise > dx - dy:
+                continue
+            if band is not None and not all(
+                span * lo[x + t] <= L * (span * y + rise * t) <= span * hi[x + t] for t in range(1, span + 1)
+            ):
+                continue
+            if rise * dx < dy * span:
+                extend(path + [(x + span, y + rise)], after[k])
+            elif span == dx:
+                z = NewtonPolygon(path + [(h, d)])
+                if not symmetric or z.is_symmetric():
+                    out.append(z)
+
+    extend([(0, 0)], 0)
+    return out
+
+
+def oracle_up_sets(polygons):
+    """Up-sets from height vectors rescaled to one denominator, each column
+    sorted and grouped by height."""
+    n = len(polygons)
+    L = lcm(*(z.heights()[0] for z in polygons))
+    columns = zip(*([y * (L // Lz) for y in ys[1:-1]] for Lz, ys in (z.heights() for z in polygons)))
+    up = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
+    for col in columns:
+        lower = 0
+        for _, group in groupby(sorted(range(n), key=col.__getitem__), key=col.__getitem__):
+            group = list(group)
+            for i in group:
+                lower |= 1 << i
+            for i in group:
+                up[i] &= lower
+    return up
 
 
 def oracle_longest_chain(P, i, j):
@@ -325,6 +388,54 @@ class TestOracles:
         for a in polys:
             for b in polys:
                 assert np_compare(a, b) is oracle_compare(a, b)
+
+
+@cache
+def exact_heights(vertices):
+    """L * value(x) for x = 0..h, L = lcm(1..h), by `Fraction` heights."""
+    z = NewtonPolygon(vertices)
+    L = lcm(*range(1, z.h + 1))
+    return [L * z.value(x) for x in range(z.h + 1)]
+
+
+class TestHeightColumns:
+    """The enumerator's height columns against the walk that reads each
+    polygon's own heights, and the mask up-sets against sort and group."""
+
+    @staticmethod
+    def assert_matches_oracle(monkeypatch, h, d, symmetric=False, interval=None):
+        P = NPPoset(h, d, symmetric, interval=interval)
+        with monkeypatch.context() as patched:
+            patched.setattr(poset, "enumerate_polygons", oracle_enumerate_polygons)
+            patched.setattr(poset, "_up_sets", oracle_up_sets)
+            Q = NPPoset(h, d, symmetric, interval=interval)
+        assert P.elements == Q.elements
+        assert (P._up, P.covers, P.ranks) == (Q._up, Q.covers, Q.ranks)
+        for z in P.elements:
+            L, ys = z.heights()
+            assert L == lcm(*range(1, h + 1)) and all(type(y) is int for y in ys)
+            assert ys == exact_heights(z.vertices)
+        return P
+
+    @pytest.mark.parametrize("h", range(1, 13))
+    def test_full_posets(self, monkeypatch, h):
+        for d in range(h + 1):
+            self.assert_matches_oracle(monkeypatch, h, d)
+
+    @pytest.mark.parametrize("g", range(1, MAX_POSET_HEIGHT // 2 + 1))
+    def test_symmetric_posets(self, monkeypatch, g):
+        self.assert_matches_oracle(monkeypatch, 2 * g, g, symmetric=True)
+
+    @pytest.mark.parametrize(
+        "h, d, symmetric",
+        [(h, d, False) for h in range(1, 9) for d in range(h + 1)] + [(2 * g, g, True) for g in range(1, 5)],
+    )
+    def test_every_interval(self, monkeypatch, h, d, symmetric):
+        P = NPPoset(h, d, symmetric)
+        for i, a in enumerate(P.elements):
+            for j, b in enumerate(P.elements):
+                if i == j or P.less(i, j):
+                    self.assert_matches_oracle(monkeypatch, h, d, symmetric, interval=(a, b))
 
 
 class TestChains:
