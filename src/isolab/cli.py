@@ -435,7 +435,7 @@ def _poset_chain(args):
 
 
 def _poset_witness(args):
-    _emit_chain(args, specialization_witness(*_poset_endpoints(args)))
+    _emit_chain(args, specialization_witness(*_poset_endpoints(args), symmetric=args.symmetric))
 
 
 # The one table of actions, read by the parsers' choices, the missing-flag

@@ -110,6 +110,16 @@ class NewtonPolygon:
         self.h, self.d = vertices[-1]
         self._heights = None
 
+    @classmethod
+    def _from_path(cls, vertices, L, ys):
+        """The polygon on a tuple of int vertices already known valid, with
+        its height column ys at the scale L; nothing is checked."""
+        z = object.__new__(cls)
+        z.vertices = vertices
+        z.h, z.d = vertices[-1]
+        z._heights = (L, ys)
+        return z
+
     @property
     def c(self):
         return self.h - self.d
@@ -294,24 +304,38 @@ def np_diamond(np):
     return pts
 
 
+def _diamond_size(np, last):
+    """How many points of the diamond region lie at x <= last: at each x,
+    the y from ceil(ys[x]/L) = -(-ys[x] // L) up to min(d, x) - 1."""
+    L, ys = np.heights()
+    return sum(max(0, min(np.d, x) + -ys[x] // L) for x in range(1, last + 1))
+
+
 def np_dim(np):
-    """Dimension of the (unpolarized) stratum attached to the polygon."""
-    return len(np_diamond(np))
+    """Dimension of the (unpolarized) stratum attached to the polygon: the
+    size of `np_diamond`, counted from the height column."""
+    return _diamond_size(np, np.h)
 
 
-def np_triangle(np):
-    """Like the diamond region but clipped to x <= g for symmetric polygons."""
+def _check_triangle(np):
     if np.h != 2 * np.d:
         raise InputError("triangle region needs a symmetric polygon (h = 2d)")
     if not np.is_symmetric():
         raise InputError("polygon is not symmetric")
+
+
+def np_triangle(np):
+    """Like the diamond region but clipped to x <= g for symmetric polygons."""
+    _check_triangle(np)
     g = np.d
     return {(x, y) for (x, y) in np_diamond(np) if x <= g}
 
 
 def np_sdim(np):
-    """Dimension of the principally polarized stratum of a symmetric polygon."""
-    return len(np_triangle(np))
+    """Dimension of the principally polarized stratum of a symmetric
+    polygon: the size of `np_triangle`, counted from the height column."""
+    _check_triangle(np)
+    return _diamond_size(np, np.d)
 
 
 def p_rank(np):

@@ -4,7 +4,9 @@ Elements are enumerated as integer vertex paths (strictly increasing
 segment slopes in [0,1], integral breakpoints), the polygons' own format,
 in slope-list order and with no `Fraction` anywhere; the order is the
 exact pointwise comparison, with the isoclinic polygon at the bottom and
-the ordinary polygon on top.  One enumeration works on one integer height
+the ordinary polygon on top.  The walk steps through a move table that
+lists, per remaining width, the edges that fit, so it visits no edge it
+cannot take.  One enumeration works on one integer height
 scale, L = lcm(1..h), carried by each path as the polygon's `heights()`;
 each element's strict up-set is a Python-int bitset, built per abscissa
 from one mask per height and a prefix OR; covers are the transitive
@@ -15,9 +17,10 @@ interval between their ends alone: a specialization runs along any
 saturated chain of that interval (Oort, Ann. of Math. 152, 2000).
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cache
 from math import lcm
+from operator import le
 
 from .errors import InputError
 from .newton import (
@@ -43,9 +46,9 @@ __all__ = [
 # The number of polygons grows exponentially with h, about doubling with
 # each step of 2, and d = h/2 has the most.  On a 2-vCPU Xeon, in a fresh
 # process, `poset build`, `dot`, `chain --from iso --to ord` and `witness`
-# at (h, h/2) each take 0.15-0.23 s and 19-21 MiB at h = 18 (1,882
-# elements), 0.21-0.35 s and 23-28 MiB at 20, 0.33-0.65 s and 36-47 MiB at
-# 22 (8,179 elements), 0.54-0.92 s and 50-62 MiB at 23, and 0.73-1.7 s and
+# at (h, h/2) each take 0.14-0.24 s and 19-21 MiB at h = 18 (1,882
+# elements), 0.22-0.40 s and 24-28 MiB at 20, 0.43-0.69 s and 37-47 MiB at
+# 22 (8,179 elements), 0.55-1.1 s and 50-66 MiB at 23, and 1.1-1.8 s and
 # 77-93 MiB at 24 (16,636 elements); three runs each.
 MAX_POSET_HEIGHT = 22
 
@@ -64,16 +67,32 @@ def check_endpoints(h, d, symmetric=False):
 
 @cache
 def _edges(h, d):
-    """Every edge (rise, span, step) that a polygon to (h,d) can have, by
-    increasing slope rise/span, the longer edge first among equal slopes;
-    and for each edge the index of the first steeper one.  Every span
-    divides L = lcm(1..h), so step = rise * (L // span) is L times the
-    slope.  Endpoints are checked first, so there are at most 23 * 23 keys."""
+    """Every edge (rise, span, step, after) that a polygon to (h,d) can
+    have, by increasing slope rise/span, the longer edge first among equal
+    slopes: step = rise * (L // span) is L = lcm(1..h) times the slope and
+    `after` the index of the first steeper edge; and the move table, which
+    `_moves` fills for each remaining width the walk reaches.  Endpoints
+    are checked first, so there are at most 23 * 23 keys."""
     L = lcm(*range(1, h + 1))
     edges = [(rise, span, rise * (L // span)) for span in range(1, h + 1) for rise in range(min(span, d) + 1) if span - rise <= h - d]
     edges.sort(key=lambda e: (e[2], -e[1]))
     slopes = [step for _, _, step in edges]
-    return L, tuple(edges), tuple(bisect_right(slopes, s) for s in slopes)
+    return L, tuple(e + (bisect_right(slopes, e[2]),) for e in edges), {}
+
+
+def _moves(edges, dx, dy):
+    """The edges that fit the remaining width (dx, dy), in slope order,
+    with their indices: not steeper than the chord, span <= dx and
+    span - rise <= dx - dy, and on the chord only to its end, so the last
+    move closes the path and every other leaves a steeper edge that can."""
+    indices, moves = [], []
+    for k, (rise, span, _, _) in enumerate(edges):
+        if rise * dx > dy * span:
+            break
+        if span <= dx and span - rise <= dx - dy and (span == dx or rise * dx < dy * span):
+            indices.append(k)
+            moves.append(edges[k])
+    return indices, moves
 
 
 def enumerate_polygons(h, d, symmetric=False, band=None):
@@ -84,43 +103,47 @@ def enumerate_polygons(h, d, symmetric=False, band=None):
 
     The slope lists compare at their first difference, so a depth-first
     walk over first edges by increasing slope, the longer of two equal
-    slopes first, meets the polygons in order.  An edge is taken only when
-    a strictly steeper edge within slope 1 can still close the path, so
-    without a band every branch ends in a polygon.  Each path carries its
-    height column ys at L = lcm(1..h), which becomes the polygon's
-    `heights()`; the band test reads it, and so does the symmetric filter:
-    ys[h-x] = ys[x] + L*(d-x).
+    slopes first, meets the polygons in order.  Each step takes the moves
+    of `_edges`' table at the remaining width, from the first edge steeper
+    than the last, so without a band every branch ends in a polygon, valid
+    by construction.  The walk extends and truncates one height column ys
+    at L = lcm(1..h), copied into each polygon's `heights()`; the band
+    test reads it (the moves above the upper bound one step on end the
+    list, and the convex lower bound is met along an edge if at its end),
+    and so does the symmetric filter: ys[h-x] = ys[x] + L*(d-x).
     """
     check_endpoints(h, d, symmetric)
-    L, edges, after = _edges(h, d)
+    L, edges, table = _edges(h, d)
     if band is not None:
         # a bound's own scale divides L: every span is at most h
         lo, hi = ([y * (L // Lz) for y in ys] for Lz, ys in (z.heights() for z in band))
     out = []
+    path, ys = [(0, 0)], [0]
 
-    def extend(path, ys, start):
-        x, y = path[-1]
+    def extend(x, y, start):
         dx, dy = h - x, d - y
-        for k in range(start, len(edges)):
-            rise, span, step = edges[k]
-            if rise * dx > dy * span:
-                break  # steeper than the chord to (h,d): the rest cannot close
-            if span > dx or span - rise > dx - dy:
-                continue  # past x = h, or the rest would need a slope above 1
-            closes = rise * dx == dy * span
-            if closes and span < dx:
-                continue  # along the chord, only to its end
-            column = ys + [ys[-1] + step * t for t in range(1, span + 1)]
-            if band is not None and not all(lo[u] <= column[u] <= hi[u] for u in range(x + 1, x + span + 1)):
-                continue
-            if not closes:
-                extend(path + [(x + span, y + rise)], column, after[k])
-            elif not symmetric or all(column[h - u] == column[u] + L * (d - u) for u in range(1, d)):
-                z = NewtonPolygon(path + [(h, d)])
-                z._heights = (L, column)
-                out.append(z)
+        entry = table.get((dx, dy))
+        if entry is None:
+            entry = table[dx, dy] = _moves(edges, dx, dy)
+        indices, moves = entry
+        base = ys[-1]
+        for rise, span, step, after in moves[bisect_left(indices, start):]:
+            if band is not None:
+                if base + step > hi[x + 1]:
+                    break
+                if base + step * span < lo[x + span]:
+                    continue
+            ys.extend([base + step * t for t in range(1, span + 1)])
+            if band is None or all(map(le, ys[x + 2:], hi[x + 2:])):
+                if span < dx:
+                    path.append((x + span, y + rise))
+                    extend(x + span, y + rise, after)
+                    path.pop()
+                elif not symmetric or all(ys[h - u] == ys[u] + L * (d - u) for u in range(1, d)):
+                    out.append(NewtonPolygon._from_path((*path, (h, d)), L, ys[:]))
+            del ys[x + 1:]
 
-    extend([(0, 0)], [0], 0)
+    extend(0, 0, 0)
     return out
 
 
@@ -266,12 +289,12 @@ def longest_chain(poset, frm, to):
     return [poset.elements[k] for k in reversed(chain)]
 
 
-def specialization_witness(beta, gamma):
+def specialization_witness(beta, gamma, symmetric=False):
     """A saturated chain from gamma down to beta in the full poset of
-    their common endpoints: the combinatorial shadow of specializing a
-    generic fiber of polygon gamma to a special fiber of polygon beta.
-    Only the interval [beta, gamma] is built; a saturated chain between
-    its ends runs inside it.
+    their common endpoints (with `symmetric`, the symmetric poset): the
+    combinatorial shadow of specializing a generic fiber of polygon gamma
+    to a special fiber of polygon beta.  Only the interval [beta, gamma]
+    is built; a saturated chain between its ends runs inside it.
 
     Requires beta < gamma (beta on-or-above gamma).
     """
@@ -279,7 +302,7 @@ def specialization_witness(beta, gamma):
         raise InputError("polygons must share endpoints")
     if not np_precedes(beta, gamma):
         raise InputError("need beta preceding gamma (beta on-or-above gamma)")
-    chain = longest_chain(NPPoset(beta.h, beta.d, interval=(beta, gamma)), beta, gamma)
+    chain = longest_chain(NPPoset(beta.h, beta.d, symmetric, interval=(beta, gamma)), beta, gamma)
     return list(reversed(chain))
 
 

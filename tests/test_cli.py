@@ -180,6 +180,23 @@ class TestSubcommands:
         assert proc.stdout.startswith("digraph newton_poset {")
         assert proc.stdout.count("->") == 1
 
+    def test_poset_witness_symmetric_stays_in_the_symmetric_poset(self, capsys):
+        # the chain of the full poset passes through (2,1)+(0,1), which is not symmetric
+        request = ["--h", "4", "--d", "2", "--symmetric", "--from", "iso", "--to", "ord"]
+        assert main(["poset", "witness"] + request) == 0
+        witness = capsys.readouterr().out.splitlines()
+        assert main(["poset", "chain"] + request) == 0
+        chain = capsys.readouterr().out.splitlines()
+        assert witness == ["length 2", "2*(1,0)+2*(0,1)", "(1,0)+(1,1)+(0,1)", "2*(1,1)"]
+        assert witness[1:] == chain[:0:-1]
+
+    @pytest.mark.parametrize("action", ["chain", "witness"])
+    def test_poset_symmetric_refuses_a_non_symmetric_end(self, capsys, action):
+        request = ["--h", "4", "--d", "2", "--symmetric", "--from", "(2,1)+(0,1)", "--to", "ord"]
+        assert main(["poset", action] + request) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "(2,1)+(0,1) not in this poset" in err
+
 
 class TestExitCodes:
     def test_usage_error_is_64(self):

@@ -307,6 +307,29 @@ class TestRegions:
         with pytest.raises(InputError):
             np_triangle(np_from_pairs([(2, 1)]))
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [([(2, 1)], "needs a symmetric polygon"), ([(2, 1), (0, 1)], "not symmetric"), ([(1, 0), (1, 2)], "not symmetric")],
+    )
+    def test_sdim_errors(self, pairs, message):
+        # h != 2d, then h = 2d but not symmetric: the same errors as the triangle
+        z = np_from_pairs(pairs)
+        for region in (np_triangle, np_sdim):
+            with pytest.raises(InputError, match=message):
+                region(z)
+
+    def test_dim_counts_the_diamond(self):
+        # on the enumerator's scale lcm(1..h) and on each polygon's own
+        for h in range(1, 13):
+            for d in range(h + 1):
+                for z in enumerate_polygons(h, d):
+                    assert np_dim(z) == np_dim(NewtonPolygon(z.vertices)) == len(np_diamond(z))
+
+    def test_sdim_counts_the_triangle(self):
+        for g in range(1, 9):
+            for z in enumerate_polygons(2 * g, g, symmetric=True):
+                assert np_sdim(z) == np_sdim(NewtonPolygon(z.vertices)) == len(np_triangle(z))
+
     def test_diamond_constraints(self):
         z = np_from_pairs([(1, 0), (1, 0), (2, 1), (1, 5)])
         for x, y in np_diamond(z):

@@ -258,6 +258,20 @@ class TestEnumeration:
         with pytest.raises(InputError):
             enumerate_polygons(5, 2, symmetric=True)
 
+    def test_every_move_but_the_last_leaves_a_closing_edge(self):
+        # no branch of the walk dies: the last move at a width closes the
+        # path, every other stays strictly below the chord and short of x = h
+        for h in range(1, 11):
+            for d in range(h + 1):
+                enumerate_polygons(h, d)
+                _, edges, table = poset._edges(h, d)
+                assert table
+                for (dx, dy), (indices, moves) in table.items():
+                    assert indices == sorted(indices) and moves == [edges[k] for k in indices]
+                    assert moves[-1][:2] == (dy, dx)
+                    for rise, span, _, _ in moves[:-1]:
+                        assert rise * dx < dy * span and span < dx and span - rise <= dx - dy
+
 
 class TestPosetStructure:
     def test_h2d1_hasse(self):
@@ -415,6 +429,10 @@ class TestHeightColumns:
             L, ys = z.heights()
             assert L == lcm(*range(1, h + 1)) and all(type(y) is int for y in ys)
             assert ys == exact_heights(z.vertices)
+            # built unchecked: the validated constructor is the oracle
+            assert type(z.vertices) is tuple
+            assert all(type(v) is tuple and len(v) == 2 and all(type(c) is int for c in v) for v in z.vertices)
+            assert NewtonPolygon(z.vertices) == z
         return P
 
     @pytest.mark.parametrize("h", range(1, 13))
@@ -425,6 +443,27 @@ class TestHeightColumns:
     @pytest.mark.parametrize("g", range(1, MAX_POSET_HEIGHT // 2 + 1))
     def test_symmetric_posets(self, monkeypatch, g):
         self.assert_matches_oracle(monkeypatch, 2 * g, g, symmetric=True)
+
+    def test_after_the_move_tables_are_dropped(self, monkeypatch):
+        # as in a fresh process: every width's moves are found anew
+        poset._edges.cache_clear()
+        for h, d in [(1, 0), (4, 2), (7, 3), (8, 4)]:
+            self.assert_matches_oracle(monkeypatch, h, d)
+        poset._edges.cache_clear()
+        self.assert_matches_oracle(monkeypatch, 8, 4, symmetric=True)
+
+    def test_after_bands_fill_part_of_the_move_table(self, monkeypatch):
+        poset._edges.cache_clear()
+        self.assert_matches_oracle(monkeypatch, 7, 4)
+        full = oracle_enumerate_polygons(8, 4)
+        for i, j in [(10, 8), (10, 9), (11, 5), (14, 8)]:
+            self.assert_matches_oracle(monkeypatch, 8, 4, interval=(full[i], full[j]))
+        table = poset._edges(8, 4)[2]
+        banded = len(table)
+        self.assert_matches_oracle(monkeypatch, 8, 4)
+        assert 0 < banded < len(table)
+        self.assert_matches_oracle(monkeypatch, 8, 4, symmetric=True)
+        self.assert_matches_oracle(monkeypatch, 8, 3)
 
     @pytest.mark.parametrize(
         "h, d, symmetric",
@@ -533,6 +572,21 @@ class TestWitness:
         ordn = np_from_pairs([(1, 0), (1, 0), (0, 1), (0, 1)])
         with pytest.raises(InputError):
             specialization_witness(ordn, ss)
+
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_symmetric_chain_length_is_triangle_difference(self, g):
+        ss, ordn = isoclinic_polygon(2 * g, g), ordinary_polygon(2 * g, g)
+        chain = specialization_witness(ss, ordn, symmetric=True)
+        assert chain[0] == ordn and chain[-1] == ss
+        assert all(z.is_symmetric() for z in chain)
+        assert len(chain) - 1 == np_sdim(ordn) - np_sdim(ss) == g * (g + 1) // 2 - g * g // 4
+        assert chain == longest_chain(poset_build(2 * g, g, symmetric=True), ss, ordn)[::-1]
+
+    def test_symmetric_rejects_a_non_symmetric_end(self):
+        beta = np_from_pairs([(2, 1), (0, 1)])
+        assert specialization_witness(beta, ordinary_polygon(4, 2))
+        with pytest.raises(InputError, match="not in this poset"):
+            specialization_witness(beta, ordinary_polygon(4, 2), symmetric=True)
 
 
 class TestExport:
