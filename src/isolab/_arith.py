@@ -16,7 +16,6 @@ The algorithms are the classical ones of von zur Gathen and Gerhard,
 """
 
 from math import gcd
-from operator import mul
 
 from .errors import InputError
 
@@ -194,8 +193,10 @@ def charpoly(M, modulus):
 
     Berkowitz's recursion (Inf. Process. Lett. 18, 1984) adds one row and
     column at a time and never divides, so it holds over any Z/n, also
-    mod p^N with p <= h, where Faddeev-LeVerrier would divide by p.  Zero
-    entries are skipped: a matrix with one nonzero per row costs O(h^3).
+    mod p^N with p <= h, where Faddeev-LeVerrier would divide by p.  Each
+    step's lower-triangular Toeplitz product is one `_product` convolution
+    cut to k + 2 terms.  Zero entries are skipped: a matrix with one
+    nonzero per row costs O(h^3).
     """
     nonzero = [[(t, x) for t, x in enumerate(row) if x] for row in M]
     coeffs = [1]
@@ -209,8 +210,9 @@ def charpoly(M, modulus):
         for _ in range(k):
             first.append(-sum(x * col[t] for t, x in R) % modulus)
             col = [sum(x * col[t] for t, x in r) % modulus for r in A]
-        # coeffs <- T coeffs with T[i][j] = first[i - j]; map stops at j = min(i, k)
-        coeffs = [sum(map(mul, first[i::-1], coeffs)) % modulus for i in range(k + 2)]
+        # coeffs <- T coeffs with T[i][j] = first[i - j]: the first k + 2
+        # terms of the convolution of first and coeffs
+        coeffs = [c % modulus for c in _product(first, coeffs)[: k + 2]]
     return coeffs
 
 

@@ -16,10 +16,11 @@ collapse to the single rule
 """
 
 from fractions import Fraction
+from functools import cached_property
 
-from ._arith import base_p_digits, euler_phi, power, require_prime
+from ._arith import base_p_digits, euler_phi, poly_mulmod, power, require_prime
 from .errors import InputError, PrecisionError
-from .unramified import finite_field, parse_ff, render_ff, unramified_ring
+from .unramified import FFElement, finite_field, parse_ff, render_ff, unramified_ring
 from .witt import WittElement
 
 __all__ = [
@@ -45,15 +46,19 @@ MAX_WORKING_PRECISION = 1024
 
 
 class CartierContext:
-    """Fixes the base field F_{p^m} and the V-adic working cap A; `phi` =
-    euler_phi(p^m - 1) scales the guard digits of every normalization."""
+    """Fixes the base field F_{p^m} and the V-adic working cap A."""
 
     def __init__(self, p, m=1, vcap=8):
         if vcap < 1:
             raise InputError("V-cap must be >= 1")
         self.p, self.m, self.vcap = p, m, vcap
         self.field = finite_field(p, m)
-        self.phi = euler_phi(p**m - 1)
+
+    @cached_property
+    def phi(self):
+        """euler_phi(p^m - 1), which scales the guard digits of a carrying
+        diagonal and of `_from_int`; computed the first time it is read."""
+        return euler_phi(self.p**self.m - 1)
 
     def element(self, terms, truncated=False):
         return cartier_normalize(self, terms, truncated=truncated)
@@ -103,6 +108,14 @@ class CartierElement:
         self.terms = dict(terms)
         self.truncated = truncated
 
+    @classmethod
+    def _of(cls, context, table, truncated):
+        """The element of a canonical table that nothing else holds: kept,
+        not copied."""
+        e = cls.__new__(cls)
+        e.context, e.terms, e.truncated = context, table, truncated
+        return e
+
     def _same(self, other):
         if isinstance(other, int):
             return _from_int(self.context, other)
@@ -123,11 +136,17 @@ class CartierElement:
         return self + (-self._same(other))
 
     def __mul__(self, other):
+        """Monomial by monomial, V^a <c> F^b * V^a' <c'> F^b' =
+        V^(a+a') <c^(p^a') c'^(p^b)> F^(b+b'): both twists and the product
+        act on coefficient tuples, one field element per term pair."""
         other = self._same(other)
+        field = self.context.field
+        f, p, twist = field.modulus, field.p, field._twist
         raw = []
         for (a, b), c in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
-                raw.append((a + a2, b + b2, c.frobenius(a2) * c2.frobenius(b)))
+                cc = poly_mulmod(twist(c.coeffs, a2), twist(c2.coeffs, b), f, p)
+                raw.append((a + a2, b + b2, FFElement._reduced(field, cc)))
         return cartier_normalize(self.context, raw, truncated=self.truncated or other.truncated)
 
     __radd__ = __add__
@@ -206,9 +225,10 @@ def _from_int(ctx, k):
     k on the main diagonal, rows (b, b), already in canonical form."""
     guard = ctx.phi * (base_p_digits(abs(k), ctx.p) + 1) + 2
     ring = _working_ring(ctx, ctx.vcap + guard)
+    field = ctx.field
     keys, rest = ring.digit_keys(ring.from_int(k).coeffs, ctx.vcap)
-    table = {(b, b): ctx.field(r).frobenius(b) for b, r in enumerate(keys) if any(r)}
-    return CartierElement(ctx, table, any(c % ctx.p**guard for c in rest))
+    table = {(b, b): FFElement._reduced(field, field._twist(r, b)) for b, r in enumerate(keys) if any(r)}
+    return CartierElement._of(ctx, table, any(c % ctx.p**guard for c in rest))
 
 
 def cartier_normalize(context, raw_terms, truncated=False):
@@ -222,12 +242,15 @@ def cartier_normalize(context, raw_terms, truncated=False):
     working precision.  Every element of W(F_{p^m}) has exactly one such
     expansion (Serre, Local Fields, II 5), so reading digits back would
     return these digits and a zero remainder: the table is the terms
-    themselves and `truncated` does not change.  Only a diagonal with a repeated position carries; its terms
-    are converted to Witt elements of the unramified lift at certified
-    precision, summed there, and read back as Teichmuller digits.  The sum
-    and its digits are plain coefficient lists: the only ring elements met
-    are the table's lifts, and a field element is built only for a nonzero
-    digit.
+    themselves and `truncated` does not change.  So a sum left with one
+    monomial is returned as it stands.  Only a diagonal with a repeated
+    position carries; its terms are converted to Witt elements of the
+    unramified lift at certified precision, summed there by
+    `UnramifiedRing.teichmuller_sum`, and read back as Teichmuller digits.
+    The sum and its digits are plain coefficient lists: the only ring
+    elements met are the table's lifts, and a field element is built only
+    for a nonzero digit, twisted on its residue tuple.  A coefficient is
+    coerced only when it is not already an element of the field.
 
     The `truncated` flag is exact: the residual past the cap is an integer
     combination of roots of unity, so its norm bounds how deep a nonzero
@@ -236,16 +259,23 @@ def cartier_normalize(context, raw_terms, truncated=False):
     field = context.field
     A = context.vcap
     p = context.p
-    diagonals = {}
+    kept = []
     for a, b, c in raw_terms:
         if a < 0 or b < 0:
             raise InputError("negative V or F exponent")
-        c = field.coerce(c)
+        if c.__class__ is not FFElement or c.field is not field:
+            c = field.coerce(c)
         if c.is_zero():
             continue
         if a >= A:
             truncated = True
             continue
+        kept.append((a, b, c))
+    if len(kept) == 1:
+        a, b, c = kept[0]
+        return CartierElement._of(context, {(a, b): c}, truncated)
+    diagonals = {}
+    for a, b, c in kept:
         diagonals.setdefault(a - b, []).append((a, b, c))
     table = {}
     for i, terms in diagonals.items():
@@ -259,18 +289,14 @@ def cartier_normalize(context, raw_terms, truncated=False):
         weight = sum(p**b for _, b, _ in terms) + p**digits  # bound on sum|n_j|
         guard = context.phi * base_p_digits(weight, p) + 2
         ring = _working_ring(context, digits + guard)
-        acc = [0] * context.m
-        for a, b, c in terms:
-            pb = p**b
-            acc = [x + pb * y for x, y in zip(acc, ring.teichmuller(c.frobenius_inv(a)).coeffs)]
-        keys, v = ring.digit_keys([x % ring.pN for x in acc], digits)
+        keys, v = ring.digit_keys(ring.teichmuller_sum(terms), digits)
         for b, r in enumerate(keys):
             if not any(r):
                 continue
             a = i + b
             if a < 0:
                 raise PrecisionError("digit below the F-side floor (internal)")
-            table[(a, b)] = field(r).frobenius(a)
+            table[(a, b)] = FFElement._reduced(field, field._twist(r, a))
         # after `digits` exact divisions only `guard` digits of v are still
         # certified (the top digits are mod-p^P wraparound noise).  The true
         # residual is sum n_j tau_j with sum|n_j| <= weight, so if nonzero
@@ -279,7 +305,7 @@ def cartier_normalize(context, raw_terms, truncated=False):
         pg = p**guard
         if any(c % pg for c in v):
             truncated = True
-    return CartierElement(context, table, truncated)
+    return CartierElement._of(context, table, truncated)
 
 
 def artin_hasse(p, degree):

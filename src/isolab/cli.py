@@ -191,7 +191,8 @@ def _np_compare(args):
 def _np_dim(args):
     z = _polygon_arg(args)
     val = np_dim(z)
-    _emit(args, str(val), {"dim": val, "diamond": sorted(np_diamond(z))})
+    # only JSON lists the diamond; text needs its size alone
+    _emit(args, str(val), {"dim": val, "diamond": sorted(np_diamond(z))} if args.format == "json" else None)
 
 
 def _np_sdim(args):

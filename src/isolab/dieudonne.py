@@ -267,14 +267,16 @@ def _hull_to_group_polygon(points, h, dim):
 
 
 def display_matrix(dnf):
-    """The full h x h F-matrix of the display (columns are images)."""
+    """The full h x h F-matrix of the display (columns are images).  Ring
+    elements are immutable, so every forced entry shares one zero, one one
+    or one p."""
     ring = dnf.context.ring
-    p = ring.from_int(dnf.context.p)
+    zero, one, p = ring.zero(), ring.one(), ring.from_int(dnf.context.p)
     h, s = dnf.h, dnf.s
-    M = [[ring.zero() for _ in range(h)] for _ in range(h)]
+    M = [[zero] * h for _ in range(h)]
     for jp in range(1, s):
-        M[jp][jp - 1] = ring.one()  # subdiagonal of the s x s block
-    M[s][s - 1] = ring.one()  # bridging 1 below a_{s,s}
+        M[jp][jp - 1] = one  # subdiagonal of the s x s block
+    M[s][s - 1] = one  # bridging 1 below a_{s,s}
     for jp in range(s + 1, h):
         M[jp][jp - 1] = p  # subdiagonal p's in the trailing block
     for (i, j), e in dnf.entries.items():

@@ -121,7 +121,7 @@ class FFElement:
         """self^(p^k), by the field's matrix of x -> x^(p^k)."""
         if k % self.field.m == 0:
             return self
-        return FFElement(self.field, _apply(self.field._frobenius_matrix(k), self.coeffs))
+        return FFElement._reduced(self.field, self.field._twist(self.coeffs, k))
 
     def frobenius_inv(self, k=1):
         return self.frobenius(-k)
@@ -184,6 +184,14 @@ class FiniteField:
         if not self._frobenius:
             _frobenius_rows(self, self._frobenius, 1, self.generator() ** self.p)
         return _frobenius_rows(self, self._frobenius, k)
+
+    def _twist(self, coeffs, k):
+        """The coefficients of c^(p^k) for c given by its m coefficients
+        mod p: `FFElement.frobenius` on a plain tuple, with no element built."""
+        if k % self.m == 0:
+            return coeffs
+        p = self.p
+        return [sum(map(mul, row, coeffs)) % p for row in self._frobenius_matrix(k)]
 
     def elements(self):
         """All p^m elements, in a fixed order."""
@@ -292,7 +300,12 @@ class UElement:
         return self._same(other) - self
 
     def __pow__(self, k):
-        return power(self, k, self.ring.one())
+        """self^k for k >= 0: builtin `pow` mod p^N in Z/p^N (m = 1), else
+        square-and-multiply."""
+        r = self.ring
+        if r.m == 1 and k >= 0:
+            return UElement._reduced(r, (pow(self.coeffs[0], k, r.pN),))
+        return power(self, k, r.one())
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -433,16 +446,22 @@ class UnramifiedRing:
             self._teichmuller[c.coeffs] = lift
         return lift
 
-    def teichmuller_digits(self, v, k):
-        """The first k Teichmuller digits r_0..r_{k-1} of v, as residues
-        (v = sum p^i [r_i] + p^k w), and the remainder w."""
-        keys, rest = self.digit_keys(v.coeffs, k)
-        return [FFElement(self.field, r) for r in keys], UElement(self, rest)
+    def teichmuller_sum(self, terms):
+        """sum p^b [c^(p^-a)] over the terms (a, b, c), c in the residue
+        field, as coefficients mod p^N: the lifts come from `teichmuller`
+        and are summed as plain int lists, with no ring element built."""
+        p = self.p
+        acc = [0] * self.m
+        for a, b, c in terms:
+            pb = p**b
+            acc = [x + pb * y for x, y in zip(acc, self.teichmuller(c.frobenius_inv(a)).coeffs)]
+        return [x % self.pN for x in acc]
 
     def digit_keys(self, coeffs, k):
-        """teichmuller_digits on plain ints: the digits as residue tuples
-        (the keys of the lift table) and the remainder's coefficients, for
-        an element given by its coefficients mod p^N."""
+        """The first k Teichmuller digits r_0..r_{k-1} of an element given
+        by its coefficients mod p^N (v = sum p^i [r_i] + p^k w): the digits
+        as residue tuples (the keys of the lift table) and the coefficients
+        of the remainder w."""
         p, pN, table = self.p, self.pN, self._teichmuller
         keys = []
         for _ in range(k):

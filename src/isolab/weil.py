@@ -136,8 +136,9 @@ def _rational_roots(coeffs):
 def is_irreducible_q(coeffs_ascending):
     """Irreducibility over Q of a monic integer polynomial (degree <= 16).
 
-    Rational-root stripping, then factor-degree patterns modulo several
-    primes, then a bounded Kronecker search as a complete backstop.
+    A quadratic by its discriminant.  From degree 3 on, rational-root
+    stripping, then factor-degree patterns modulo several primes, then a
+    bounded Kronecker search as a complete backstop.
     """
     coeffs = [int(c) for c in coeffs_ascending]
     e = len(coeffs) - 1
@@ -147,9 +148,14 @@ def is_irreducible_q(coeffs_ascending):
         raise InputError("constant polynomial")
     if e == 1:
         return True
+    if e == 2:
+        # monic x^2 + c1 x + c0 splits over Q exactly when its discriminant
+        # is a square s^2, and then over Z: s has the parity of c1
+        disc = coeffs[1] ** 2 - 4 * coeffs[0]
+        return disc < 0 or isqrt(disc) ** 2 != disc
     if _rational_roots(coeffs):
         return False
-    if e <= 3:
+    if e == 3:
         return True
     plausible = set(range(1, e))
     used = 0

@@ -12,7 +12,7 @@ from operator import mul
 
 from ._arith import require_prime
 from .errors import InputError
-from .unramified import UElement, unramified_ring
+from .unramified import FFElement, UElement, unramified_ring
 
 __all__ = [
     "WittContext",
@@ -125,12 +125,13 @@ class WittContext:
         return WittElement(self, self.ring.from_int(int(value)))
 
     def from_coordinates(self, coords):
-        """Witt coordinates (c_0,...,c_{N-1}), c_i in F_{p^m} (or ints)."""
+        """Witt coordinates (c_0,...,c_{N-1}), c_i in F_{p^m} (or ints): the
+        element sum p^i [c_i^(p^-i)], summed by `UnramifiedRing.teichmuller_sum`."""
         coords = [self.field.coerce(c) for c in coords]
         if len(coords) > self.N:
             raise InputError("more coordinates than the precision carries")
-        lifts = (self.p**i * self.ring.teichmuller(c.frobenius_inv(i)) for i, c in enumerate(coords))
-        return WittElement(self, sum(lifts, self.ring.zero()))
+        acc = self.ring.teichmuller_sum((i, i, c) for i, c in enumerate(coords))
+        return WittElement(self, UElement._reduced(self.ring, acc))
 
     def teichmuller(self, c):
         return WittElement(self, self.ring.teichmuller(self.field.coerce(c)))
@@ -197,9 +198,12 @@ class WittElement:
         return self.value.valuation()
 
     def coordinates(self):
-        """The Witt coordinate view (c_0,...,c_{N-1}), c_i in F_{p^m}."""
-        digits, _ = self.context.ring.teichmuller_digits(self.value, self.context.N)
-        return [r.frobenius(i) for i, r in enumerate(digits)]
+        """The Witt coordinate view (c_0,...,c_{N-1}), c_i in F_{p^m}: the
+        Teichmuller digits r_i of the value, twisted to c_i = r_i^(p^i) on
+        their residue tuples, one field element per coordinate."""
+        field = self.context.field
+        keys, _ = self.context.ring.digit_keys(self.value.coeffs, self.context.N)
+        return [FFElement._reduced(field, field._twist(r, i)) for i, r in enumerate(keys)]
 
     def is_zero(self):
         return self.value.is_zero()

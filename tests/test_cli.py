@@ -18,6 +18,7 @@ from isolab import cli
 from isolab.cli import MAX_POLYGON_HEIGHT, MAX_PRECISION, main, parse_polygon
 from isolab.dieudonne import MAX_TORSION_BITS, gmn_module
 from isolab.errors import InputError
+from isolab import newton
 from isolab.newton import np_from_pairs
 from isolab.poset import MAX_POSET_HEIGHT
 from isolab.semimodule import MAX_SEMIMODULES
@@ -74,6 +75,20 @@ class TestSubcommands:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "22"
 
+    def test_np_dim_text_lists_no_diamond(self, monkeypatch, capsys):
+        pairs = "2*(1,0)+(2,1)+(1,5)"
+        assert main(["--format", "json", "np", "dim", "--pairs", pairs]) == 0
+        z = parse_polygon(pairs)
+        want = {"dim": 22, "diamond": [list(pt) for pt in sorted(newton.np_diamond(z))]}
+        assert json.loads(capsys.readouterr().out) == want
+
+        def refuse(z):
+            raise AssertionError("np_diamond called for a text answer")
+
+        monkeypatch.setattr(cli, "np_diamond", refuse)
+        assert main(["np", "dim", "--pairs", pairs]) == 0
+        assert capsys.readouterr().out == "22\n"
+
     def test_np_dim_trivial(self):
         proc = run_cli("np", "dim", "--pairs", "(1,1)")
         assert proc.stdout.strip() == "0"
@@ -127,6 +142,13 @@ class TestSubcommands:
         proc = run_cli("weil", "verify", "--minpoly", "1,-5,4", "--p", "2", "--n", "2")
         assert proc.returncode == 2
         assert "reducible" in proc.stderr
+
+    def test_weil_verify_quadratic_with_a_hard_constant(self):
+        # q = P^2 for P = 2^61 - 1: decided by the discriminant, with no
+        # factorization of q
+        P = 2**61 - 1
+        proc = run_cli("weil", "verify", "--minpoly", "1,1,%d" % P**2, "--p", str(P), "--n", "2", timeout=30)
+        assert (proc.returncode, proc.stdout) == (0, "valid\n")
 
     def test_weil_trace(self):
         proc = run_cli("weil-trace", "--beta", "0", "--p", "3", "--n", "1")

@@ -15,6 +15,7 @@ from isolab.weil import (
     HondaTateData,
     WeilRejection,
     _int_poly_divides,
+    _rational_roots,
     _real_weil_polynomial,
     _roots_all_real_and_bounded,
     _sturm_chain,
@@ -37,6 +38,19 @@ class TestIrreducibility:
     def test_quadratic(self):
         assert is_irreducible_q([2, -1, 1])  # T^2 - T + 2
         assert not is_irreducible_q([4, -5, 1])  # (T-1)(T-4)
+
+    def test_quadratics_by_discriminant_match_rational_roots(self):
+        # every monic T^2 + c1 T + c0 with |c0| <= 300 and |c1| <= 60
+        for c0 in range(-300, 301):
+            for c1 in range(-60, 61):
+                assert is_irreducible_q([c0, c1, 1]) == (not _rational_roots([c0, c1, 1])), (c0, c1)
+
+    def test_quadratic_with_a_hard_constant(self):
+        # c0 = P^2 for the Mersenne prime P = 2^61 - 1, which Pollard rho
+        # would need about 2^30 steps to split
+        P = 2**61 - 1
+        assert is_irreducible_q([P * P, 1, 1])
+        assert not is_irreducible_q([P * P, -2 * P, 1])
 
     def test_cubic_with_root(self):
         assert not is_irreducible_q([0, 1, 0, 1])  # T(T^2+1)
