@@ -3,7 +3,12 @@
 A q-Weil number is handed over as its monic integer minimal polynomial
 together with (p, n), q = p^n.  Verification is fully exact:
 
-* irreducibility over Q by integer factorization (small degrees),
+* irreducibility over Q: a quadratic by its discriminant; from degree 3
+  on, rational roots are stripped and factor degrees read mod small
+  primes; when those leave a factorization open, a q-symmetric f is
+  decided through its real Weil polynomial h (h reducible, or h with all
+  roots strictly inside (-2 sqrt(q), 2 sqrt(q)) and irreducible), and a
+  Kronecker search decides the rest,
 * the functional equation T^e f(q/T) = f(0) f(T) coefficient by
   coefficient,
 * the root-modulus condition via Sturm sequences over Z, by primitive
@@ -28,14 +33,11 @@ from ._arith import (
     poly_divmod,
     poly_eval,
     poly_mul,
-    poly_mulmod,
-    poly_powmod,
     poly_prem,
     poly_primitive,
     poly_rem,
     poly_sub,
     poly_trim,
-    rank,
     require_prime,
 )
 from .errors import InputError, PlaceResolutionError
@@ -49,7 +51,6 @@ __all__ = [
     "weil_from_real_trace",
     "honda_tate",
     "albert_classify",
-    "field_stable_under_power",
     "is_irreducible_q",
     "count_real_roots",
 ]
@@ -136,9 +137,21 @@ def _rational_roots(coeffs):
 def is_irreducible_q(coeffs_ascending):
     """Irreducibility over Q of a monic integer polynomial (degree <= 16).
 
-    A quadratic by its discriminant.  From degree 3 on, rational-root
-    stripping, then factor-degree patterns modulo several primes, then a
-    bounded Kronecker search as a complete backstop.
+    A quadratic by its discriminant.  From degree 3 on, four steps, each
+    run only when the ones before leave the answer open:
+
+    1. a rational root means reducible; a cubic without one is irreducible;
+    2. the factor degrees modulo up to six primes bound the degrees a
+       rational factor can have; when none is left, f is irreducible;
+    3. a q-symmetric f of degree 2g is T^g h(T + q/T) for its integer real
+       Weil polynomial h of degree g (`_real_weil_verdict`).  If h = h1 h2,
+       then f = T^g1 h1(T + q/T) * T^g2 h2(T + q/T) is reducible.  If h is
+       irreducible with all its roots beta real and beta^2 < 4q, then
+       beta^2 - 4q is negative at every real place of the totally real
+       field Q(beta), so it is not a square there: T^2 - beta T + q stays
+       irreducible over Q(beta), and f, its norm to Q, is irreducible;
+    4. otherwise a bounded Kronecker search for a factor of each degree
+       the sieve left open decides f.
     """
     coeffs = [int(c) for c in coeffs_ascending]
     e = len(coeffs) - 1
@@ -174,10 +187,42 @@ def is_irreducible_q(coeffs_ascending):
             break
     # degree-1 factors were excluded by the rational-root test; any proper
     # factorization leaves a factor of degree in [2, e/2]
-    for g in sorted(d for d in plausible if 2 <= d <= e // 2):
+    degrees = sorted(d for d in plausible if 2 <= d <= e // 2)
+    if degrees and (verdict := _real_weil_verdict(coeffs)) is not None:
+        return verdict
+    for g in degrees:
         if _kronecker_has_factor(coeffs, g):
             return False
     return True
+
+
+def _int_root(n, k):
+    """The k-th root of an int n >= 1, rounded down: Newton's iteration
+    from 2^ceil(bits / k), which is above the root, downwards."""
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
+def _real_weil_verdict(coeffs):
+    """Irreducibility of a monic f of degree e = 2g >= 4, read off its real
+    Weil polynomial h (step 3 of `is_irreducible_q`), or None when f is not
+    q-symmetric or h leaves it open.  f is q-symmetric when f(0) = q^g for
+    an int q >= 1 and c_k q^k = f(0) c_(e-k) for every k, which holds
+    exactly when f = T^g h(T + q/T) with no remainder; f(0) fixes q."""
+    e = len(coeffs) - 1
+    if e % 2 or coeffs[0] < 1:
+        return None
+    q = _int_root(coeffs[0], e // 2)
+    h = _real_weil_polynomial(coeffs, q)
+    if _weil_transform(h, q) != coeffs:
+        return None
+    if not is_irreducible_q(h):
+        return False
+    # roots strictly inside: a root beta = +-2 sqrt(q) makes T^2 - beta T + q
+    # a square over Q(beta)
+    return True if _roots_all_real_and_bounded(h, q, strict=True) else None
 
 
 def _kronecker_has_factor(coeffs, g):
@@ -294,6 +339,17 @@ def count_real_roots(f, lower=None, upper=None):
 # ---------------------------------------------------------------------------
 
 
+def _weil_transform(h, q):
+    """T^g h(T + q/T), ascending, for an ascending h of degree g: b_j T^j
+    becomes b_j T^(g-j) (T^2 + q)^j."""
+    g = len(h) - 1
+    f = [0] * (2 * g + 1)
+    for j, b in enumerate(h):
+        for i in range(j + 1):
+            f[g - j + 2 * i] += b * comb(j, i) * q ** (j - i)
+    return f
+
+
 def _real_weil_polynomial(f, q):
     """The integer h, ascending, with f(T) = T^g h(T + q/T) for an
     ascending f of degree 2g with f(0) = q^g that satisfies the functional
@@ -309,19 +365,9 @@ def _real_weil_polynomial(f, q):
     return h
 
 
-def _power_vectors(x, f):
-    """Coordinates of x^0, ..., x^e in Z[T]/(f), e = deg f, for a monic
-    integer f, each padded to length e."""
-    e = len(f) - 1
-    cur, vecs = [1], [[1] + [0] * (e - 1)]
-    for _ in range(e):
-        cur = poly_mulmod(cur, x, f)
-        vecs.append(cur + [0] * (e - len(cur)))
-    return vecs
-
-
-def _roots_all_real_and_bounded(h, q):
-    """All roots of h real, and every root beta satisfies beta^2 <= 4q."""
+def _roots_all_real_and_bounded(h, q, strict=False):
+    """All roots of h real, and every root beta satisfies beta^2 <= 4q, or
+    beta^2 < 4q when `strict`."""
     # h is irreducible (see weil_verify), so squarefree: its roots are all
     # real when it has deg h distinct real roots
     h = poly_trim(h)
@@ -332,6 +378,9 @@ def _roots_all_real_and_bounded(h, q):
     A, B = h[0::2], h[1::2]
     C = poly_sub(poly_mul(A, A), [0] + poly_mul(B, B))
     # none of them may exceed 4q; boundary roots beta^2 = 4q are allowed
+    # unless `strict`
+    if strict and not poly_eval(C, 4 * q):
+        return False
     return count_real_roots(C, lower=4 * q) == 0
 
 
@@ -478,11 +527,3 @@ def albert_classify(e0, e, d, is_totally_real, is_definite=None):
         return ("III(%d)" if is_definite else "II(%d)") % e0
     raise InputError("no Albert type with d = %d over a totally real field" % d)
 
-
-def field_stable_under_power(w, k):
-    """Whether Q(pi^k) = Q(pi): the field does not shrink under pi -> pi^k."""
-    asc = list(reversed(w.minpoly))
-    if w.e == 1:
-        return True
-    vecs = _power_vectors(poly_powmod([0, 1], k, asc), asc)
-    return rank([[Fraction(c) for c in v] for v in vecs[: w.e]]) == w.e

@@ -1,9 +1,10 @@
 """Polynomial division and gcd over Q (`Fraction`s): the oracle that the
-integer-only kernel in `isolab._arith` is checked against."""
+integer-only kernel in `isolab._arith` is checked against.  Also
+`field_stable_under_power`, a rank over Q that only the Weil tests use."""
 
 from fractions import Fraction
 
-from isolab._arith import poly_trim
+from isolab._arith import poly_mulmod, poly_powmod, poly_trim, rank
 
 
 def q_divmod(a, b):
@@ -28,3 +29,24 @@ def q_gcd(a, b):
     while b:
         a, b = b, q_divmod(a, b)[1]
     return [Fraction(c) / a[-1] for c in a]
+
+
+def _power_vectors(x, f):
+    """Coordinates of x^0, ..., x^e in Z[T]/(f), e = deg f, for a monic
+    integer f, each padded to length e."""
+    e = len(f) - 1
+    cur, vecs = [1], [[1] + [0] * (e - 1)]
+    for _ in range(e):
+        cur = poly_mulmod(cur, x, f)
+        vecs.append(cur + [0] * (e - len(cur)))
+    return vecs
+
+
+def field_stable_under_power(w, k):
+    """Whether Q(pi^k) = Q(pi) for a `WeilNumber` w: the field does not
+    shrink under pi -> pi^k."""
+    asc = list(reversed(w.minpoly))
+    if w.e == 1:
+        return True
+    vecs = _power_vectors(poly_powmod([0, 1], k, asc), asc)
+    return rank([[Fraction(c) for c in v] for v in vecs[: w.e]]) == w.e

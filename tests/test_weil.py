@@ -9,6 +9,7 @@ from math import comb, isqrt
 
 import pytest
 
+from isolab import weil
 from isolab.errors import InputError, IsolabError, PlaceResolutionError
 from isolab._arith import poly_add, poly_deriv, poly_eval, poly_mul, poly_primitive, poly_sub, poly_trim
 from isolab.weil import (
@@ -21,14 +22,13 @@ from isolab.weil import (
     _sturm_chain,
     albert_classify,
     count_real_roots,
-    field_stable_under_power,
     honda_tate,
     is_irreducible_q,
     weil_from_real_trace,
     weil_verify,
 )
 
-from qpoly import q_divmod, q_gcd
+from qpoly import field_stable_under_power, q_divmod, q_gcd
 
 
 class TestIrreducibility:
@@ -569,3 +569,161 @@ def test_weil_behaviour_pinned():
     assert {"accepted", "reducible", "functional-equation", "root-modulus"} <= verdicts
     text = json.dumps(records, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == WEIL_PIN_SHA256
+
+
+# -- the real-Weil-polynomial step of is_irreducible_q -----------------------
+
+
+def _box_quartics():
+    """The quartic Weil box of the census: T^4 + a T^3 + b T^2 + aq T + q^2
+    for q = 2, 3, |a| <= 4 sqrt(q), |b| <= 6q; ascending, with (q, p, n, a, b)."""
+    for q in (2, 3):
+        amax = isqrt(16 * q)
+        for a in range(-amax, amax + 1):
+            for b in range(-6 * q, 6 * q + 1):
+                yield (q, q, 1, a, b), [q * q, a * q, b, a, 1]
+
+
+def _irreducible_by_backstop(coeffs):
+    """is_irreducible_q with its real-Weil-polynomial step skipped: rational
+    roots, the factor-degree sieve, then the Kronecker search."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weil, "_real_weil_verdict", lambda coeffs: None)
+        return is_irreducible_q(coeffs)
+
+
+def test_int_root_is_the_floor_root():
+    rng = random.Random(23)
+    for k in range(1, 9):
+        for n in [1, 2, 3, 255, 256, 257] + [rng.randrange(1, 1 << rng.randrange(1, 400)) for _ in range(60)]:
+            r = weil._int_root(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
+        for r in (1, 2, 3, 6, 2**61 - 1):
+            assert weil._int_root(r**k, k) == r
+
+
+def test_real_weil_transform_of_a_product_is_the_product_of_transforms():
+    # theorem (A): f = T^g (h1 h2)(T + q/T) = T^g1 h1(T + q/T) * T^g2 h2(T + q/T)
+    rng = random.Random(2301)
+    decided = 0
+    for _ in range(500):
+        h1, h2 = ([rng.randint(-20, 20) for _ in range(rng.randint(1, 4))] + [1] for _ in range(2))
+        q = rng.choice((2, 3, 4, 5, 6, 9, 2**61 - 1))
+        h = poly_mul(h1, h2)
+        f = weil._weil_transform(h, q)
+        assert f == poly_mul(weil._weil_transform(h1, q), weil._weil_transform(h2, q)), (h1, h2, q)
+        assert _real_weil_polynomial(f, q) == h
+        if min(len(h1), len(h2)) == 2:
+            # h has a rational root, so its own test is quick
+            assert weil._real_weil_verdict(f) is False, (h1, h2, q)
+            decided += 1
+    assert decided > 100
+
+
+def _pinned_even_weil_candidates():
+    for minpoly, p, n in _weil_pin_cases():
+        if len(minpoly) in (5, 7):
+            yield list(reversed(minpoly)), p**n
+
+
+def test_real_weil_verdicts_match_the_backstop():
+    # theorem (B) and theorem (A) on the box quartics and the pinned quartics
+    # and sextics: every verdict the step gives is the backstop's
+    seen = {True: 0, False: 0}
+    sextics = 0
+    cases = [(asc, q) for (q, *_), asc in _box_quartics()] + list(_pinned_even_weil_candidates())
+    for asc, q in cases:
+        verdict = weil._real_weil_verdict(asc)
+        if verdict is not None:
+            assert verdict == _irreducible_by_backstop(asc), (asc, q)
+            seen[verdict] += 1
+            sextics += len(asc) == 7
+    assert seen[True] > 50 and seen[False] > 100 and sextics > 10, (seen, sextics)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 6, 7, 8])
+def test_roots_on_the_boundary_are_left_to_the_backstop(q):
+    # f = (T^2 - q)^2 has h = x^2 - 4q, irreducible with both roots at
+    # +-2 sqrt(q): the non-strict bound admits them, the strict one does not
+    f = poly_mul([-q, 0, 1], [-q, 0, 1])
+    h = _real_weil_polynomial(f, q)
+    assert h == [-4 * q, 0, 1] and is_irreducible_q(h)
+    assert _roots_all_real_and_bounded(h, q)
+    assert not _roots_all_real_and_bounded(h, q, strict=True)
+    assert weil._real_weil_verdict(f) is None
+    assert not is_irreducible_q(f)
+
+
+def test_q_symmetric_for_a_q_that_is_no_prime_power():
+    # q = 6: the step reads q off f(0) = 36 and needs no prime power
+    seen = set()
+    for a in range(-4, 5):
+        for b in range(-24, 25, 4):
+            asc = [36, 6 * a, b, a, 1]
+            verdict = weil._real_weil_verdict(asc)
+            if verdict is not None:
+                assert verdict == is_irreducible_q(asc) == _irreducible_by_backstop(asc), (a, b)
+                seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_q_symmetry_is_read_off_f():
+    assert weil._real_weil_verdict([4, 0, 2, 0, 1]) is True  # 2-symmetric, h = x^2 - 2
+    assert weil._real_weil_verdict([4, 1, 2, 0, 1]) is None  # c1 q = 2 != f(0) c3 = 0
+    assert weil._real_weil_verdict([5, 0, 0, 0, 1]) is None  # f(0) = 5 is no square
+    assert weil._real_weil_verdict([-4, 0, 0, 0, 1]) is None  # f(0) < 0
+    assert weil._real_weil_verdict([8, 4, 2, 1]) is None  # odd degree
+
+
+# sha256 of (q, a, b, weil_verify verdict) over the 756 box quartics,
+# generated before is_irreducible_q read the real Weil polynomial
+BOX_SHA256 = "49a25c2199c6b73f15d6ecb6d3d151b9e7bb780e5e2c06f818509172414edd8a"
+# box quartics that may reach the Kronecker search; 188 did before the step
+BOX_BACKSTOP_CALLS = 69
+
+
+def test_box_verdicts_pinned_and_backstop_reach_bounded(monkeypatch):
+    current, stepped, searched = [None], set(), set()
+    step, search = weil._real_weil_verdict, weil._kronecker_has_factor
+
+    def counting_step(coeffs):
+        stepped.add(current[0])
+        return step(coeffs)
+
+    def counting_search(coeffs, g):
+        searched.add(current[0])
+        return search(coeffs, g)
+
+    monkeypatch.setattr(weil, "_real_weil_verdict", counting_step)
+    monkeypatch.setattr(weil, "_kronecker_has_factor", counting_search)
+    rows = []
+    for (q, p, n, a, b), asc in _box_quartics():
+        current[0] = (q, a, b)
+        try:
+            weil_verify(list(reversed(asc)), p, n)
+            verdict = "accepted"
+        except WeilRejection as ex:
+            verdict = ex.reason
+        rows.append([q, a, b, verdict])
+    assert len(rows) == 756
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == BOX_SHA256
+    # the step runs exactly where the search ran before, and takes most of it
+    assert len(stepped) == 188
+    assert len(searched) <= BOX_BACKSTOP_CALLS
+
+
+def test_degree_16_q_symmetric_decided_without_the_search(monkeypatch):
+    # T^16 + 2^16 is 4-symmetric; every factor-degree pattern mod an odd
+    # prime leaves degree 8 open, and its h of degree 8 is irreducible with
+    # every root strictly inside (-4, 4).  The Kronecker search at degree 16
+    # ran past 15 s.
+    def refuse(coeffs, g):
+        raise AssertionError("Kronecker search reached")
+
+    monkeypatch.setattr(weil, "_kronecker_has_factor", refuse)
+    f = [2**16] + [0] * 15 + [1]
+    assert is_irreducible_q(f)
+    assert weil_verify(list(reversed(f)), 2, 2).e == 16
+    with pytest.raises(WeilRejection) as ex:
+        weil_verify(list(reversed(f)), 2, 1)
+    assert ex.value.reason == "functional-equation"
