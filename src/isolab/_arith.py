@@ -373,7 +373,13 @@ def poly_powmod(a, e, f, p=None):
 def factor_degrees(coeffs, p):
     """Degrees (with multiplicity) of the irreducible factors of an integer
     polynomial mod p, by distinct-degree factorization; None when the
-    reduction loses degree or is not squarefree."""
+    reduction loses degree or is not squarefree.
+
+    Step k takes w = x^(p^(k-1)) mod f to x^(p^k) mod f.  The p-th power
+    is F_p-linear on F_p[x]/(f): for w = sum w_i x^i it is sum w_i R_i with
+    the rows R_i = x^(ip) mod f, so after the first step (one `poly_powmod`)
+    each step is a combination of the rows, which are built when the second
+    step needs them and reduced with f when a factor is split off."""
     f = poly_trim([c % p for c in coeffs])
     if len(f) != len(coeffs):
         return None
@@ -382,14 +388,29 @@ def factor_degrees(coeffs, p):
     degrees = []
     k = 0
     w = [0, 1]
+    rows = None
     while len(f) - 1 >= 2 * (k + 1):
         k += 1
-        w = poly_powmod(w, p, f, p)  # x^(p^k) mod f
+        if k == 1:
+            w = poly_powmod(w, p, f, p)
+        else:
+            if rows is None:
+                rows = [[1], w]  # w = x^p mod f at step 2
+                while len(rows) < len(f) - 1:
+                    rows.append(poly_mulmod(rows[-1], w, f, p))
+            out = [0] * (len(f) - 1)
+            for c, row in zip(w, rows):
+                if c:
+                    for j, r in enumerate(row):
+                        out[j] += c * r
+            w = _trim([c % p for c in out])  # x^(p^k) mod f
         g = poly_gcd(poly_sub(w, [0, 1], p), f, p)
         if len(g) > 1:
             degrees.extend([k] * ((len(g) - 1) // k))
             f = poly_divmod(f, g, p)[0]
             w = poly_rem(w, f, p)
+            if rows is not None:
+                rows = [poly_rem(r, f, p) for r in rows[: len(f) - 1]]
     if len(f) > 1:
         degrees.append(len(f) - 1)
     return degrees

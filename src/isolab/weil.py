@@ -3,11 +3,13 @@
 A q-Weil number is handed over as its monic integer minimal polynomial
 together with (p, n), q = p^n.  Verification is fully exact:
 
-* irreducibility over Q: a quadratic by its discriminant; from degree 3
-  on, rational roots are stripped and factor degrees read mod small
-  primes; when those leave a factorization open, a q-symmetric f is
-  decided through its real Weil polynomial h (h reducible, or h with all
-  roots strictly inside (-2 sqrt(q), 2 sqrt(q)) and irreducible), and a
+* irreducibility over Q: a quadratic by its discriminant.  A q-symmetric
+  f of degree 2g >= 4 is decided first through its real Weil polynomial h
+  (h reducible, or h irreducible with all roots strictly inside
+  (-2 sqrt(q), 2 sqrt(q))); when h is irreducible and that leaves f open,
+  a rational factor can only have degree g.  Any other f from degree 3 on
+  has its integer roots sought by bisection over a Sturm chain.  Factor
+  degrees read mod small primes then bound the degrees left, and a
   Kronecker search decides the rest,
 * the functional equation T^e f(q/T) = f(0) f(T) coefficient by
   coefficient,
@@ -15,6 +17,9 @@ together with (p, n), q = p^n.  Verification is fully exact:
   pseudo-remainders, on the real Weil polynomial h, f(T) = T^g h(T + q/T),
   read off f by integer subtraction; h is the minimal polynomial of the
   totally real element pi + q/pi, so no floating point is ever consulted.
+  From degree 4 on the irreducibility test has already bounded h's roots,
+  and that one pass of Sturm chains serves both checks; a quadratic's h,
+  x + c1, is bounded by c1^2 <= 4q.
 
 Classification follows the three-way case split (rational sqrt(q) /
 irrational real sqrt(q) / CM) and computes the division-algebra index as
@@ -123,54 +128,90 @@ class HondaTateData(namedtuple("HondaTateData", "case slopes e0 e d g albert loc
 
 
 def _rational_roots(coeffs):
-    c0 = coeffs[0]
-    if c0 == 0:
-        return [0]
+    """The distinct rational roots of a monic integer f, ascending; each
+    is an integer in (-B, B) for the Cauchy bound B = 1 + max |c_i|
+    (i < deg f).  (-B, B] is bisected on integer points over the one Sturm
+    chain of f's squarefree part: a half over which the sign variations
+    do not drop holds no root, and a unit interval (r - 1, r] that holds
+    one is kept when f(r) = 0.  No integer is factored."""
+    chain = _squarefree_chain(coeffs)
+    bound = 1 + max(abs(c) for c in coeffs[:-1])
     roots = []
-    for d in divisors(c0):
-        for r in (d, -d):
-            if poly_eval(coeffs, r) == 0:
-                roots.append(r)
+    todo = [(-bound, _sign_variations(chain, -bound, -1), bound, _sign_variations(chain, bound, 1))]
+    while todo:
+        lo, vlo, hi, vhi = todo.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if poly_eval(coeffs, hi) == 0:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        vmid = _sign_variations(chain, mid, 1)
+        todo += [(mid, vmid, hi, vhi), (lo, vlo, mid, vmid)]
     return roots
 
 
 def is_irreducible_q(coeffs_ascending):
-    """Irreducibility over Q of a monic integer polynomial (degree <= 16).
+    """Irreducibility over Q of a monic integer polynomial f (degree <= 16).
 
-    A quadratic by its discriminant.  From degree 3 on, four steps, each
-    run only when the ones before leave the answer open:
+    A quadratic by its discriminant.  From degree 3 on, each step runs only
+    when the ones before leave the answer open:
 
-    1. a rational root means reducible; a cubic without one is irreducible;
-    2. the factor degrees modulo up to six primes bound the degrees a
+    1. a q-symmetric f of degree 2g >= 4 is T^g h(T + q/T) for its integer
+       real Weil polynomial h of degree g (`_real_weil_step`), and
+       f = N(T^2 - beta T + q), the norm to Q from Q(beta) for a root beta
+       of h.  (A) If h = h1 h2, then f = T^g1 h1(T + q/T) * T^g2 h2(T + q/T)
+       is reducible.  (B) If h is irreducible with all its roots beta real
+       and beta^2 < 4q, then beta^2 - 4q is negative at every real place of
+       the totally real field Q(beta), so it is not a square there:
+       T^2 - beta T + q stays irreducible over Q(beta), and f, its norm,
+       is irreducible.  When h is irreducible and (B) does not hold, f is
+       irreducible or N(T - pi1) N(T - pi2) for the roots pi1, pi2 of
+       T^2 - beta T + q in Q(beta), whose minimal polynomials both have
+       degree g since beta = pi + q/pi.  So g is the only degree a rational
+       factor can have, and f has no rational root: r + q/r would be a
+       rational root of h.  Steps 2 and 3 are skipped, and 4 and 5 look
+       at degree g alone;
+    2. any other f: a rational root means reducible (`_rational_roots`);
+    3. a cubic without one is irreducible;
+    4. the factor degrees modulo up to six primes bound the degrees a
        rational factor can have; when none is left, f is irreducible;
-    3. a q-symmetric f of degree 2g is T^g h(T + q/T) for its integer real
-       Weil polynomial h of degree g (`_real_weil_verdict`).  If h = h1 h2,
-       then f = T^g1 h1(T + q/T) * T^g2 h2(T + q/T) is reducible.  If h is
-       irreducible with all its roots beta real and beta^2 < 4q, then
-       beta^2 - 4q is negative at every real place of the totally real
-       field Q(beta), so it is not a square there: T^2 - beta T + q stays
-       irreducible over Q(beta), and f, its norm to Q, is irreducible;
-    4. otherwise a bounded Kronecker search for a factor of each degree
+    5. otherwise a bounded Kronecker search for a factor of each degree
        the sieve left open decides f.
     """
-    coeffs = [int(c) for c in coeffs_ascending]
+    return _irreducible([int(c) for c in coeffs_ascending])[0]
+
+
+def _irreducible(coeffs):
+    """(`is_irreducible_q` of an int list f, bounded), where bounded is the
+    root bound of h that step 1 tested, in its non-strict form (see
+    `_roots_all_real_and_bounded`), and None when the step did not test it:
+    `weil_verify` reuses it as its root-modulus check."""
     e = len(coeffs) - 1
     if e > 16:
         raise InputError("irreducibility test capped at degree 16")
     if e <= 0:
         raise InputError("constant polynomial")
     if e == 1:
-        return True
+        return True, None
     if e == 2:
         # monic x^2 + c1 x + c0 splits over Q exactly when its discriminant
         # is a square s^2, and then over Z: s has the parity of c1
         disc = coeffs[1] ** 2 - 4 * coeffs[0]
-        return disc < 0 or isqrt(disc) ** 2 != disc
-    if _rational_roots(coeffs):
-        return False
-    if e == 3:
-        return True
-    plausible = set(range(1, e))
+        return disc < 0 or isqrt(disc) ** 2 != disc, None
+    bounded = None
+    if (step := _real_weil_step(coeffs)) is not None:
+        verdict, bounded = step
+        if verdict is not None:
+            return verdict, bounded
+        plausible = {e // 2}
+    else:
+        if _rational_roots(coeffs):
+            return False, None
+        if e == 3:
+            return True, None
+        plausible = set(range(1, e))
     used = 0
     for ell in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         degs = factor_degrees(coeffs, ell)
@@ -181,19 +222,16 @@ def is_irreducible_q(coeffs_ascending):
             sums |= {s + dd for s in sums}
         plausible &= sums
         used += 1
-        if not plausible & set(range(1, e)):
-            return True
+        if not plausible:
+            return True, bounded
         if used >= 6:
             break
-    # degree-1 factors were excluded by the rational-root test; any proper
-    # factorization leaves a factor of degree in [2, e/2]
-    degrees = sorted(d for d in plausible if 2 <= d <= e // 2)
-    if degrees and (verdict := _real_weil_verdict(coeffs)) is not None:
-        return verdict
-    for g in degrees:
+    # there is no rational root; any proper factorization leaves a factor
+    # of degree in [2, e/2]
+    for g in sorted(d for d in plausible if 2 <= d <= e // 2):
         if _kronecker_has_factor(coeffs, g):
-            return False
-    return True
+            return False, bounded
+    return True, bounded
 
 
 def _int_root(n, k):
@@ -205,24 +243,28 @@ def _int_root(n, k):
     return x
 
 
-def _real_weil_verdict(coeffs):
-    """Irreducibility of a monic f of degree e = 2g >= 4, read off its real
-    Weil polynomial h (step 3 of `is_irreducible_q`), or None when f is not
-    q-symmetric or h leaves it open.  f is q-symmetric when f(0) = q^g for
-    an int q >= 1 and c_k q^k = f(0) c_(e-k) for every k, which holds
-    exactly when f = T^g h(T + q/T) with no remainder; f(0) fixes q."""
+def _real_weil_step(coeffs):
+    """Step 1 of `is_irreducible_q` on a monic f of degree e = 2g >= 4: None
+    when f is not q-symmetric, else (verdict, bounded).  verdict is False
+    when h is reducible (bounded is then None, untested), True when h is
+    irreducible with every root strictly inside (-2 sqrt(q), 2 sqrt(q)),
+    and None when it leaves f open; bounded is the non-strict bound.  f is
+    q-symmetric when f(0) = q^g for an int q >= 1 and c_k q^k = f(0) c_(e-k)
+    for every k, which holds exactly when f = T^g h(T + q/T) with no
+    remainder; f(0) fixes q."""
     e = len(coeffs) - 1
-    if e % 2 or coeffs[0] < 1:
+    if e < 4 or e % 2 or coeffs[0] < 1:
         return None
     q = _int_root(coeffs[0], e // 2)
     h = _real_weil_polynomial(coeffs, q)
     if _weil_transform(h, q) != coeffs:
         return None
     if not is_irreducible_q(h):
-        return False
+        return False, None
     # roots strictly inside: a root beta = +-2 sqrt(q) makes T^2 - beta T + q
     # a square over Q(beta)
-    return True if _roots_all_real_and_bounded(h, q, strict=True) else None
+    bounded, strictly = _roots_all_real_and_bounded(h, q)
+    return (True if strictly else None), bounded
 
 
 def _kronecker_has_factor(coeffs, g):
@@ -297,6 +339,16 @@ def _sturm_chain(f):
     return [c for c in chain if c]
 
 
+def _squarefree_chain(f):
+    """Sturm chain of the squarefree part of a primitive integer f: f's own
+    chain, or, when it ends in a nonconstant gcd(f, f'), the chain of
+    f / gcd(f, f'), which has the same distinct roots."""
+    chain = _sturm_chain(f)
+    if len(chain[-1]) > 1:
+        chain = _sturm_chain(poly_divmod(f, chain[-1])[0])
+    return chain
+
+
 def _sign_variations(chain, x, infinity):
     """Sign changes along the chain at x, or at the infinity of sign
     `infinity` when x is None.  At x = n/d, d > 0, d^deg(g) g(x) is an int
@@ -328,11 +380,7 @@ def count_real_roots(f, lower=None, upper=None):
         raise InputError("every real number is a root of the zero polynomial")
     if lower is not None and upper is not None and lower > upper:
         raise InputError("empty interval: lower %s > upper %s" % (lower, upper))
-    f = poly_primitive(f)
-    chain = _sturm_chain(f)
-    if len(chain[-1]) > 1:
-        # repeated factors: count the roots of the squarefree part f / gcd(f, f')
-        chain = _sturm_chain(poly_divmod(f, chain[-1])[0])
+    chain = _squarefree_chain(poly_primitive(f))
     return _sign_variations(chain, lower, -1) - _sign_variations(chain, upper, 1)
 
 
@@ -365,23 +413,25 @@ def _real_weil_polynomial(f, q):
     return h
 
 
-def _roots_all_real_and_bounded(h, q, strict=False):
-    """All roots of h real, and every root beta satisfies beta^2 <= 4q, or
-    beta^2 < 4q when `strict`."""
-    # h is irreducible (see weil_verify), so squarefree: its roots are all
-    # real when it has deg h distinct real roots
+def _roots_all_real_and_bounded(h, q):
+    """(bounded, strictly) for an irreducible h: bounded when all roots of
+    h are real and every root beta satisfies beta^2 <= 4q, strictly when
+    moreover beta^2 < 4q for every root.  One pass of Sturm chains serves
+    both: the chain of h and, when its roots are all real, that of C."""
+    # h is irreducible (see `_real_weil_step`), so squarefree: its roots
+    # are all real when it has deg h distinct real roots
     h = poly_trim(h)
     if count_real_roots(h) != len(h) - 1:
-        return False
+        return False, False
     # polynomial with roots beta_i^2: C(t) = A(t)^2 - t B(t)^2 where
     # h(x) = A(x^2) + x B(x^2)
     A, B = h[0::2], h[1::2]
     C = poly_sub(poly_mul(A, A), [0] + poly_mul(B, B))
-    # none of them may exceed 4q; boundary roots beta^2 = 4q are allowed
-    # unless `strict`
-    if strict and not poly_eval(C, 4 * q):
-        return False
-    return count_real_roots(C, lower=4 * q) == 0
+    # none of them may exceed 4q; a boundary root beta^2 = 4q is a root of C
+    # at 4q, which the count over (4q, oo) leaves out
+    if count_real_roots(C, lower=4 * q):
+        return False, False
+    return True, poly_eval(C, 4 * q) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +450,8 @@ def weil_verify(minpoly, p, n):
     q = _weil_q(p, n)
     asc = list(reversed(coeffs_desc))
     e = len(asc) - 1
-    if not is_irreducible_q(asc):
+    irreducible, bounded = _irreducible(asc)
+    if not irreducible:
         raise WeilRejection("reducible")
     # functional equation: c_k q^k = c_0 c_{e-k} for all k
     c0 = asc[0]
@@ -413,8 +464,11 @@ def weil_verify(minpoly, p, n):
     # f(0)^2 = q^e; the functional equation at T = +-sqrt(q) then gives f a
     # root +-sqrt(q) or the factor T^2 - q, and irreducibility leaves only
     # f = T -+ sqrt(q) or f = T^2 - q, whose roots lie on |pi| = sqrt(q).
+    # From degree 4 on f is then q-symmetric for this q, and the
+    # irreducibility test has already bounded the roots of h; a quadratic
+    # T^2 + c1 T + q has h = x + c1.
     if e % 2 == 0 and c0 == q ** (e // 2):
-        if not _roots_all_real_and_bounded(_real_weil_polynomial(asc, q), q):
+        if not (bounded if e > 2 else asc[1] ** 2 <= 4 * q):
             raise WeilRejection("root-modulus")
     return WeilNumber(tuple(coeffs_desc), p, n)
 

@@ -12,6 +12,7 @@ from operator import mul
 
 import pytest
 
+from isolab import unramified
 from isolab._arith import (
     MAX_PRIME,
     base_p_digits,
@@ -41,7 +42,7 @@ from isolab.cartier import CartierContext
 from isolab.errors import InputError
 from isolab.unramified import UElement, UnramifiedRing, default_modulus, finite_field, unramified_ring
 from element_oracles import teichmuller_digits
-from qpoly import q_divmod
+from qpoly import factor_degrees_by_powmod, q_divmod
 
 
 def _trial_division_primes(bound):
@@ -193,6 +194,33 @@ class TestIrreducibility:
         assert sorted(factor_degrees(f, 2)) == [2, 3]
         assert factor_degrees([1, 0, 2], 2) is None
         assert factor_degrees(poly_mul([1, 1], [1, 1], 3), 3) is None
+
+    # the Frobenius rows against one poly_powmod per distinct-degree step
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_factor_degrees_by_rows_match_powmod_exhaustively(self, p):
+        for e in range(1, 5):
+            for low in product(range(p), repeat=e):
+                f = list(low) + [1]
+                assert factor_degrees(f, p) == factor_degrees_by_powmod(f, p), (f, p)
+
+    def test_factor_degrees_by_rows_match_powmod_on_random_polynomials(self):
+        rng = random.Random(2403)
+        primes = [ell for ell in range(2, 102) if is_prime(ell)]
+        splits = 0
+        for _ in range(1500):
+            ell = rng.choice(primes)
+            f = [rng.randrange(-99, 100) for _ in range(rng.randint(1, 12))] + [rng.choice((1, 1, 1, 2, ell))]
+            want = factor_degrees_by_powmod(f, ell)
+            assert factor_degrees(f, ell) == want, (f, ell)
+            splits += want is not None and len(want) > 2
+        assert splits > 200
+
+    def test_default_modulus_by_rows_matches_powmod(self, monkeypatch):
+        fields = [(p, m) for p in range(2, 10**4) if is_prime(p) for m in range(1, 14) if p**m <= 10**4]
+        got = [default_modulus(p, m) for p, m in fields]
+        monkeypatch.setattr(unramified, "factor_degrees", factor_degrees_by_powmod)
+        assert got == [default_modulus(p, m) for p, m in fields]
+        assert len(fields) > 1229
 
 
 # default_modulus(p, m) for every p <= 13 with p^m <= 6000, as fixed by the

@@ -150,6 +150,14 @@ class TestSubcommands:
         proc = run_cli("weil", "verify", "--minpoly", "1,1,%d" % P**2, "--p", str(P), "--n", "2", timeout=30)
         assert (proc.returncode, proc.stdout) == (0, "valid\n")
 
+    def test_weil_verify_cubic_with_a_hard_constant(self):
+        # the integer roots are found by bisection over a Sturm chain, with
+        # no factorization of the 46-digit constant term; the divisor search
+        # before it was still running when a 20 s timeout killed it
+        c0 = 1427247692705959881088524462630930192097345861
+        proc = run_cli("weil", "verify", "--minpoly", "1,0,0,%d" % c0, "--p", "2", "--n", "1", timeout=1)
+        assert proc.returncode == 2 and "functional-equation" in proc.stderr
+
     def test_weil_trace(self):
         proc = run_cli("weil-trace", "--beta", "0", "--p", "3", "--n", "1")
         assert proc.stdout.strip() == "1,0,3"

@@ -28,7 +28,8 @@ from isolab.weil import (
     weil_verify,
 )
 
-from qpoly import field_stable_under_power, q_divmod, q_gcd
+from qpoly import field_stable_under_power, q_divmod, q_gcd, rational_roots_by_divisors
+from qpoly import irreducible_by_backstop as _irreducible_by_backstop
 
 
 class TestIrreducibility:
@@ -43,7 +44,37 @@ class TestIrreducibility:
         # every monic T^2 + c1 T + c0 with |c0| <= 300 and |c1| <= 60
         for c0 in range(-300, 301):
             for c1 in range(-60, 61):
-                assert is_irreducible_q([c0, c1, 1]) == (not _rational_roots([c0, c1, 1])), (c0, c1)
+                assert is_irreducible_q([c0, c1, 1]) == (not rational_roots_by_divisors([c0, c1, 1])), (c0, c1)
+
+    def test_rational_roots_match_the_divisor_search(self):
+        # every monic polynomial of degree <= 4 with coefficients in [-3, 3];
+        # the divisor search returns [0] alone when f(0) = 0
+        for e in range(1, 5):
+            for low in product(range(-3, 4), repeat=e):
+                f = list(low) + [1]
+                want = rational_roots_by_divisors(f)
+                got = _rational_roots(f)
+                if f[0]:
+                    assert got == sorted(want), f
+                else:
+                    assert 0 in got and want == [0], f
+
+    def test_rational_roots_of_products_with_large_roots(self):
+        rng = random.Random(2402)
+        for _ in range(60):
+            roots = [rng.choice((-1, 1)) * rng.randrange(1, 10 ** rng.randint(1, 9)) for _ in range(rng.randint(1, 4))]
+            f = [1]
+            for r in roots:
+                f = poly_mul(f, [-r, 1])
+            if rng.random() < 0.5:
+                f = poly_mul(f, [rng.randint(1, 5), rng.randint(-3, 3), 1])  # x^2 + b x + c, maybe no real root
+            got = _rational_roots(f)
+            assert got == sorted(rational_roots_by_divisors(f)) and set(roots) <= set(got), (roots, f)
+        # a double root, roots at the Cauchy bound's edge, and a cubic whose
+        # constant term Pollard rho cannot split quickly
+        assert _rational_roots(poly_mul([-7, 1], [-7, 1])) == [7]
+        assert _rational_roots([-6, 1]) == [6] and _rational_roots([6, 1]) == [-6]
+        assert _rational_roots([1427247692705959881088524462630930192097345861, 0, 0, 1]) == []
 
     def test_quadratic_with_a_hard_constant(self):
         # c0 = P^2 for the Mersenne prime P = 2^61 - 1, which Pollard rho
@@ -231,20 +262,21 @@ def test_int_poly_divides_is_the_fraction_definition():
 
 def _oracle_roots_all_real_and_bounded(h, q):
     """The shifted check: the roots of D(u) = C(u + 4q) are beta_i^2 - 4q,
-    and after its zero roots are stripped none may be positive."""
+    and after its zero roots are stripped none may be positive; the bound
+    is strict when there were none to strip."""
     h = poly_trim(h)
     if count_real_roots(h) != len(h) - 1:
-        return False
+        return False, False
     A, B = h[0::2], h[1::2]
     C = poly_sub(poly_mul(A, A), [0] + poly_mul(B, B))
     D = []
     for c in reversed(C):
         D = poly_add(poly_mul(D, [4 * q, 1]), [c])
+    strictly = D[0] != 0
     while D and D[0] == 0:
         D = D[1:]
-    if not D:
-        return True
-    return count_real_roots(D, lower=0) == 0
+    bounded = not D or count_real_roots(D, lower=0) == 0
+    return bounded, bounded and strictly
 
 
 def test_root_bound_is_the_shifted_check():
@@ -256,7 +288,7 @@ def test_root_bound_is_the_shifted_check():
                 h = _real_weil_polynomial([q * q, a * q, b, a, 1], q)
                 verdicts.append(_roots_all_real_and_bounded(h, q))
                 assert verdicts[-1] == _oracle_roots_all_real_and_bounded(h, q), (q, a, b)
-    assert True in verdicts and False in verdicts
+    assert {(True, True), (True, False), (False, False)} <= set(verdicts)
     sextics = 0
     for minpoly, p, n in _weil_pin_cases():
         if len(minpoly) == 7:
@@ -584,12 +616,11 @@ def _box_quartics():
                 yield (q, q, 1, a, b), [q * q, a * q, b, a, 1]
 
 
-def _irreducible_by_backstop(coeffs):
-    """is_irreducible_q with its real-Weil-polynomial step skipped: rational
-    roots, the factor-degree sieve, then the Kronecker search."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weil, "_real_weil_verdict", lambda coeffs: None)
-        return is_irreducible_q(coeffs)
+def _step_verdict(coeffs):
+    """The verdict of the real-Weil-polynomial step, None when f is not
+    q-symmetric or the step leaves it open."""
+    step = weil._real_weil_step(coeffs)
+    return None if step is None else step[0]
 
 
 def test_int_root_is_the_floor_root():
@@ -615,7 +646,7 @@ def test_real_weil_transform_of_a_product_is_the_product_of_transforms():
         assert _real_weil_polynomial(f, q) == h
         if min(len(h1), len(h2)) == 2:
             # h has a rational root, so its own test is quick
-            assert weil._real_weil_verdict(f) is False, (h1, h2, q)
+            assert _step_verdict(f) is False, (h1, h2, q)
             decided += 1
     assert decided > 100
 
@@ -633,7 +664,7 @@ def test_real_weil_verdicts_match_the_backstop():
     sextics = 0
     cases = [(asc, q) for (q, *_), asc in _box_quartics()] + list(_pinned_even_weil_candidates())
     for asc, q in cases:
-        verdict = weil._real_weil_verdict(asc)
+        verdict = _step_verdict(asc)
         if verdict is not None:
             assert verdict == _irreducible_by_backstop(asc), (asc, q)
             seen[verdict] += 1
@@ -648,9 +679,8 @@ def test_roots_on_the_boundary_are_left_to_the_backstop(q):
     f = poly_mul([-q, 0, 1], [-q, 0, 1])
     h = _real_weil_polynomial(f, q)
     assert h == [-4 * q, 0, 1] and is_irreducible_q(h)
-    assert _roots_all_real_and_bounded(h, q)
-    assert not _roots_all_real_and_bounded(h, q, strict=True)
-    assert weil._real_weil_verdict(f) is None
+    assert _roots_all_real_and_bounded(h, q) == (True, False)
+    assert weil._real_weil_step(f) == (None, True)
     assert not is_irreducible_q(f)
 
 
@@ -660,7 +690,7 @@ def test_q_symmetric_for_a_q_that_is_no_prime_power():
     for a in range(-4, 5):
         for b in range(-24, 25, 4):
             asc = [36, 6 * a, b, a, 1]
-            verdict = weil._real_weil_verdict(asc)
+            verdict = _step_verdict(asc)
             if verdict is not None:
                 assert verdict == is_irreducible_q(asc) == _irreducible_by_backstop(asc), (a, b)
                 seen.add(verdict)
@@ -668,11 +698,12 @@ def test_q_symmetric_for_a_q_that_is_no_prime_power():
 
 
 def test_q_symmetry_is_read_off_f():
-    assert weil._real_weil_verdict([4, 0, 2, 0, 1]) is True  # 2-symmetric, h = x^2 - 2
-    assert weil._real_weil_verdict([4, 1, 2, 0, 1]) is None  # c1 q = 2 != f(0) c3 = 0
-    assert weil._real_weil_verdict([5, 0, 0, 0, 1]) is None  # f(0) = 5 is no square
-    assert weil._real_weil_verdict([-4, 0, 0, 0, 1]) is None  # f(0) < 0
-    assert weil._real_weil_verdict([8, 4, 2, 1]) is None  # odd degree
+    assert weil._real_weil_step([4, 0, 2, 0, 1]) == (True, True)  # 2-symmetric, h = x^2 - 2
+    assert weil._real_weil_step([4, 1, 2, 0, 1]) is None  # c1 q = 2 != f(0) c3 = 0
+    assert weil._real_weil_step([5, 0, 0, 0, 1]) is None  # f(0) = 5 is no square
+    assert weil._real_weil_step([-4, 0, 0, 0, 1]) is None  # f(0) < 0
+    assert weil._real_weil_step([8, 4, 2, 1]) is None  # odd degree
+    assert weil._real_weil_step([4, 0, 3, 0, 1]) == (False, None)  # h = x^2 - 1, reducible
 
 
 # sha256 of (q, a, b, weil_verify verdict) over the 756 box quartics,
@@ -683,18 +714,23 @@ BOX_BACKSTOP_CALLS = 69
 
 
 def test_box_verdicts_pinned_and_backstop_reach_bounded(monkeypatch):
-    current, stepped, searched = [None], set(), set()
-    step, search = weil._real_weil_verdict, weil._kronecker_has_factor
+    current, stepped, sieved, searched = [None], {}, set(), set()
+    step, sieve, search = weil._real_weil_step, weil.factor_degrees, weil._kronecker_has_factor
 
     def counting_step(coeffs):
-        stepped.add(current[0])
-        return step(coeffs)
+        stepped[current[0]] = out = step(coeffs)
+        return out
+
+    def counting_sieve(coeffs, ell):
+        sieved.add(current[0])
+        return sieve(coeffs, ell)
 
     def counting_search(coeffs, g):
         searched.add(current[0])
         return search(coeffs, g)
 
-    monkeypatch.setattr(weil, "_real_weil_verdict", counting_step)
+    monkeypatch.setattr(weil, "_real_weil_step", counting_step)
+    monkeypatch.setattr(weil, "factor_degrees", counting_sieve)
     monkeypatch.setattr(weil, "_kronecker_has_factor", counting_search)
     rows = []
     for (q, p, n, a, b), asc in _box_quartics():
@@ -707,9 +743,12 @@ def test_box_verdicts_pinned_and_backstop_reach_bounded(monkeypatch):
         rows.append([q, a, b, verdict])
     assert len(rows) == 756
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == BOX_SHA256
-    # the step runs exactly where the search ran before, and takes most of it
-    assert len(stepped) == 188
-    assert len(searched) <= BOX_BACKSTOP_CALLS
+    # every box quartic is q-symmetric, so the step runs first on all of
+    # them; the sieve runs only where it leaves f open, and the search on
+    # no more quartics than before
+    assert len(stepped) == 756 and None not in stepped.values()
+    assert sieved == {key for key, (verdict, _) in stepped.items() if verdict is None}
+    assert searched <= sieved and len(searched) <= BOX_BACKSTOP_CALLS
 
 
 def test_degree_16_q_symmetric_decided_without_the_search(monkeypatch):
@@ -727,3 +766,90 @@ def test_degree_16_q_symmetric_decided_without_the_search(monkeypatch):
     with pytest.raises(WeilRejection) as ex:
         weil_verify(list(reversed(f)), 2, 1)
     assert ex.value.reason == "functional-equation"
+
+
+def test_rational_roots_are_not_sought_for_q_symmetric_f(monkeypatch):
+    # a rational root r of f would make r + q/r a rational root of h, so a
+    # q-symmetric f is never searched for one; h's own test of a sextic (a
+    # cubic) still is
+    current = [None]
+    roots = weil._rational_roots
+
+    def refuse(coeffs):
+        if len(coeffs) == len(current[0]):
+            raise AssertionError("rational roots of f sought")
+        return roots(coeffs)
+
+    monkeypatch.setattr(weil, "_rational_roots", refuse)
+    cases = [(asc, q) for (q, *_), asc in _box_quartics()] + list(_pinned_even_weil_candidates())
+    symmetric = 0
+    for asc, _ in cases:
+        if weil._real_weil_step(asc) is not None:
+            current[0] = asc
+            weil._irreducible(asc)
+            symmetric += 1
+    assert symmetric > 756 + 40, symmetric
+
+
+def test_weil_verify_builds_the_chain_of_h_once(monkeypatch):
+    # the root-modulus check reuses the root bound of h that the
+    # irreducibility test computed: one Sturm chain of h per weil_verify
+    built = []
+    chain = weil._sturm_chain
+
+    def counting_chain(f):
+        built.append(list(f))
+        return chain(f)
+
+    monkeypatch.setattr(weil, "_sturm_chain", counting_chain)
+    reached = 0
+    cases = [((p, n), asc) for (q, p, n, *_), asc in _box_quartics()]
+    cases += [((p, n), list(reversed(minpoly))) for minpoly, p, n in _weil_pin_cases() if len(minpoly) == 5]
+    for (p, n), asc in cases:
+        h = _real_weil_polynomial(asc, p**n)
+        built.clear()
+        try:
+            weil_verify(list(reversed(asc)), p, n)
+            verdict = "accepted"
+        except WeilRejection as ex:
+            verdict = ex.reason
+        if verdict in ("accepted", "root-modulus"):
+            assert built.count(h) == 1, (asc, p, n, verdict)
+            reached += 1
+        else:
+            assert built.count(h) <= 1, (asc, p, n, verdict)
+    assert reached > 500, reached
+
+
+def _q_reciprocal(F, q):
+    """T^g F(q/T) / F(0): an integer monic polynomial when F(0) is +-1 or +-q."""
+    g = len(F) - 1
+    return [F[g - j] * q ** (g - j) // F[0] for j in range(g + 1)]
+
+
+def test_symmetric_sextics_and_octics_match_the_backstop_path():
+    # seeded q-symmetric f: the narrowed path (no rational roots, the sieve
+    # and the search at degree g alone) gives the verdict of rational roots,
+    # the sieve over degrees 1..e-1 and the search at every open degree.
+    # The products F * F-bar, F-bar = T^g F(q/T) / F(0), are reducible; the
+    # octic ones take F = G1 G2, since on octics with an irreducible h the
+    # search at degree 4 alone can run past a minute
+    rng = random.Random(2401)
+    cases = []
+    for _ in range(24):
+        q = rng.choice((2, 3, 4, 5))
+        cases.append(weil._weil_transform([rng.randint(-3, 3) for _ in range(3)] + [1], q))
+    for _ in range(8):
+        q = rng.choice((2, 3))
+        F = [rng.choice((1, -1, q, -q))] + [rng.randint(-1, 1) for _ in range(2)] + [1]
+        cases.append(poly_mul(F, _q_reciprocal(F, q)))
+    for _ in range(10):
+        q = rng.choice((2, 3))
+        F = poly_mul(*([rng.choice((1, -1, q, -q)), rng.randint(-1, 1), 1] for _ in range(2)))
+        cases.append(poly_mul(F, _q_reciprocal(F, q)))
+    seen = set()
+    for f in cases:
+        verdict = is_irreducible_q(f)
+        assert verdict == _irreducible_by_backstop(f), f
+        seen.add((len(f) - 1, verdict, weil._real_weil_step(f)[0]))
+    assert {(6, False, None), (6, True, None), (6, True, True), (6, False, False), (8, False, False)} <= seen, seen
