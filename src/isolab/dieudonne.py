@@ -28,7 +28,6 @@ __all__ = [
     "np_sigma_trivial",
     "display_matrix",
     "serre_tate_torsion",
-    "serre_tate_relation_matrix",
 ]
 
 
@@ -46,6 +45,8 @@ class DieudonnePresentation:
             self._check_fv()
 
     def _check_fv(self):
+        if len(self.V) != self.h:
+            raise InputError("V must have the size of F")
         ring = self.context.ring
         fsv = _matmul(self.F, _mat_sigma(ring, self.V, 1))
         vsf = _matmul(self.V, _mat_sigma(ring, self.F, -1))
@@ -343,25 +344,12 @@ class TorsionProfile(namedtuple("TorsionProfile", "p exponents orders")):
         return {"p": self.p, "exponents": list(self.exponents), "orders": [str(o) for o in self.orders]}
 
 
-def serre_tate_relation_matrix(exponents, p):
-    """Relations u (x) lam(v) - v (x) lam(u) on Z^(g*g), lam = diag(p^e_i));
-    one column per pair a < b."""
-    g = len(exponents)
-    cols = []
-    for a in range(g):
-        for b in range(a + 1, g):
-            col = [0] * (g * g)
-            col[a * g + b] = p ** exponents[b]
-            col[b * g + a] = -(p ** exponents[a])
-            cols.append(col)
-    return [[col[r] for col in cols] for r in range(g * g)]
-
-
 def serre_tate_torsion(exponents, p):
     """Elementary divisors of the torsion of the relation quotient.
 
-    The column of the pair a < b in `serre_tate_relation_matrix` has
-    support {(a, b), (b, a)}, and the supports of distinct columns are
+    The relations u (x) lam(v) - v (x) lam(u) on Z^(g*g), lam =
+    diag(p^e_i), have one column per pair a < b, with support
+    {(a, b), (b, a)}, and the supports of distinct columns are
     disjoint.  So the quotient is a direct sum: Z on each diagonal
     position, and Z^2 / (p^(e_b), -p^(e_a)) = Z + Z/p^min(e_a, e_b) for
     each pair.  With the exponents sorted, the torsion is the multiset

@@ -129,21 +129,12 @@ def sm_dual(A):
 
 
 def sm_principal(m, n):
-    """<0>: the numerical semigroup generated by m and n, as a type."""
-    if gcd(m, n) != 1:
-        raise InputError("m, n must be coprime")
-    r = (m - 1) * (n - 1) // 2
-    members = {0}
-    frontier = [0]
-    bound = 2 * r + m + n
-    while frontier:
-        x = frontier.pop()
-        for step in (m, n):
-            y = x + step
-            if y <= bound and y not in members:
-                members.add(y)
-                frontier.append(y)
-    return SemiModule(m, n, sorted(x for x in range(2 * r) if x in members))
+    """<0>: the numerical semigroup generated by m and n, as a type; its
+    heads are the a m + b n < 2r, a, b >= 0."""
+    if m < 1 or n < 1 or gcd(m, n) != 1:
+        raise InputError("m, n must be coprime positive integers")
+    r2 = (m - 1) * (n - 1)
+    return SemiModule(m, n, {x for am in range(0, r2, m) for x in range(am, r2, n)})
 
 
 def sm_enumerate(m, n):

@@ -249,16 +249,16 @@ def _real_weil_step(coeffs):
     when h is reducible (bounded is then None, untested), True when h is
     irreducible with every root strictly inside (-2 sqrt(q), 2 sqrt(q)),
     and None when it leaves f open; bounded is the non-strict bound.  f is
-    q-symmetric when f(0) = q^g for an int q >= 1 and c_k q^k = f(0) c_(e-k)
-    for every k, which holds exactly when f = T^g h(T + q/T) with no
-    remainder; f(0) fixes q."""
+    q-symmetric when it satisfies the functional equation for the q with
+    f(0) = q^g, which holds exactly when f = T^g h(T + q/T); f(0) fixes q,
+    and for another q the equation fails at k = e."""
     e = len(coeffs) - 1
     if e < 4 or e % 2 or coeffs[0] < 1:
         return None
     q = _int_root(coeffs[0], e // 2)
-    h = _real_weil_polynomial(coeffs, q)
-    if _weil_transform(h, q) != coeffs:
+    if not _functional_equation(coeffs, q):
         return None
+    h = _real_weil_polynomial(coeffs, q)
     if not is_irreducible_q(h):
         return False, None
     # roots strictly inside: a root beta = +-2 sqrt(q) makes T^2 - beta T + q
@@ -272,7 +272,7 @@ def _kronecker_has_factor(coeffs, g):
     xs = []
     k = 0
     while len(xs) < g + 1:
-        xs.append(k if k >= 0 else k)
+        xs.append(k)
         k = -k if k > 0 else -k + 1
     vals = [poly_eval(coeffs, x) for x in xs]
     if any(v == 0 for v in vals):
@@ -285,7 +285,7 @@ def _kronecker_has_factor(coeffs, g):
         cand = _lagrange_integer(xs, combo, g)
         if cand is None:
             continue
-        if _int_poly_divides(cand, coeffs):
+        if not poly_rem(coeffs, cand):
             return True
     return False
 
@@ -312,12 +312,6 @@ def _lagrange_integer(xs, ys, g):
     if any(c.denominator != 1 for c in coeffs):
         return None
     return [int(c) for c in coeffs]
-
-
-def _int_poly_divides(d, f):
-    """Does monic integer d divide monic integer f exactly over Z?  A monic
-    divisor leaves an integer quotient, so the remainder decides it."""
-    return not poly_rem(f, d)
 
 
 # -- Sturm machinery ---------------------------------------------------------
@@ -351,17 +345,10 @@ def _squarefree_chain(f):
 
 def _sign_variations(chain, x, infinity):
     """Sign changes along the chain at x, or at the infinity of sign
-    `infinity` when x is None.  At x = n/d, d > 0, d^deg(g) g(x) is an int
-    of the sign of g(x): Horner with the powers of d folded in."""
+    `infinity` when x is None."""
     signs = []
     for g in chain:
-        if x is None:
-            v = g[-1] * infinity ** (len(g) - 1)
-        else:
-            v, dk = 0, 1
-            for c in reversed(g):
-                v = v * x.numerator + c * dk
-                dk *= x.denominator
+        v = g[-1] * infinity ** (len(g) - 1) if x is None else poly_eval(g, x)
         if v:
             signs.append(v > 0)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -370,7 +357,9 @@ def _sign_variations(chain, x, infinity):
 def count_real_roots(f, lower=None, upper=None):
     """Distinct real roots of a nonzero f in (lower, upper]; a None endpoint
     is infinite.  f has int or `Fraction` coefficients; it is scaled once to
-    a primitive integer polynomial, which has the same roots."""
+    a primitive integer polynomial, which has the same roots.  An endpoint
+    that is no int is read exactly as a `Fraction`, as the coefficients are."""
+    lower, upper = (x if x is None or isinstance(x, int) else Fraction(x) for x in (lower, upper))
     f = poly_trim(f)
     if not all(isinstance(c, int) for c in f):
         f = [Fraction(c) for c in f]
@@ -387,15 +376,15 @@ def count_real_roots(f, lower=None, upper=None):
 # ---------------------------------------------------------------------------
 
 
-def _weil_transform(h, q):
-    """T^g h(T + q/T), ascending, for an ascending h of degree g: b_j T^j
-    becomes b_j T^(g-j) (T^2 + q)^j."""
-    g = len(h) - 1
-    f = [0] * (2 * g + 1)
-    for j, b in enumerate(h):
-        for i in range(j + 1):
-            f[g - j + 2 * i] += b * comb(j, i) * q ** (j - i)
-    return f
+def _functional_equation(f, q):
+    """T^e f(q/T) = f(0) f(T) for an ascending f of degree e: c_k q^k =
+    c_0 c_(e-k) for every k."""
+    qk = 1
+    for ck, cek in zip(f, reversed(f)):
+        if ck * qk != f[0] * cek:
+            return False
+        qk *= q
+    return True
 
 
 def _real_weil_polynomial(f, q):
@@ -453,11 +442,8 @@ def weil_verify(minpoly, p, n):
     irreducible, bounded = _irreducible(asc)
     if not irreducible:
         raise WeilRejection("reducible")
-    # functional equation: c_k q^k = c_0 c_{e-k} for all k
-    c0 = asc[0]
-    for k in range(e + 1):
-        if asc[k] * q**k != c0 * asc[e - k]:
-            raise WeilRejection("functional-equation")
+    if not _functional_equation(asc, q):
+        raise WeilRejection("functional-equation")
     # f irreducible of degree 2g with f(0) = q^g: the real Weil polynomial h
     # is irreducible of degree g with root pi + q/pi, so it is that root's
     # minimal polynomial.  Otherwise f(0) = -q^(e/2) or e is odd, since
@@ -467,7 +453,7 @@ def weil_verify(minpoly, p, n):
     # From degree 4 on f is then q-symmetric for this q, and the
     # irreducibility test has already bounded the roots of h; a quadratic
     # T^2 + c1 T + q has h = x + c1.
-    if e % 2 == 0 and c0 == q ** (e // 2):
+    if e % 2 == 0 and asc[0] == q ** (e // 2):
         if not (bounded if e > 2 else asc[1] ** 2 <= 4 * q):
             raise WeilRejection("root-modulus")
     return WeilNumber(tuple(coeffs_desc), p, n)

@@ -19,8 +19,6 @@ __all__ = [
     "WittElement",
     "ghost_components",
     "ghost_inverse",
-    "witt_coordinate_sum",
-    "witt_coordinate_product",
 ]
 
 
@@ -95,18 +93,6 @@ def ghost_inverse(ghosts, p):
         coords.append(num // weights[-1])
         powers.append(coords[-1])
     return coords
-
-
-def witt_coordinate_sum(a, b, p):
-    """Coordinates of the Witt sum of two integer-lift coordinate vectors,
-    as exact integers (values of the universal sum polynomials)."""
-    ga, gb = ghost_components(a, p), ghost_components(b, p)
-    return ghost_inverse([x + y for x, y in zip(ga, gb)], p)
-
-
-def witt_coordinate_product(a, b, p):
-    ga, gb = ghost_components(a, p), ghost_components(b, p)
-    return ghost_inverse([x * y for x, y in zip(ga, gb)], p)
 
 
 class WittContext:

@@ -1,14 +1,16 @@
 """Polynomial division and gcd over Q (`Fraction`s): the oracle that the
 integer-only kernel in `isolab._arith` is checked against.  Also
 `field_stable_under_power`, a rank over Q that only the Weil tests use,
-and frozen copies of earlier versions of the irreducibility kernel that
+`weil_transform`, the inverse that `weil._real_weil_polynomial` and the
+functional-equation test of q-symmetry are checked against, and frozen
+copies of earlier versions of the irreducibility kernel that
 the faster ones are checked against: the distinct-degree factorization by
 one `poly_powmod` per step, the rational roots by the divisors of f(0),
 and `is_irreducible_q` by rational roots, that sieve and the Kronecker
 search alone."""
 
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 from isolab import weil
 from isolab._arith import (
@@ -69,6 +71,17 @@ def field_stable_under_power(w, k):
         return True
     vecs = _power_vectors(poly_powmod([0, 1], k, asc), asc)
     return rank([[Fraction(c) for c in v] for v in vecs[: w.e]]) == w.e
+
+
+def weil_transform(h, q):
+    """T^g h(T + q/T), ascending, for an ascending h of degree g: b_j T^j
+    becomes b_j T^(g-j) (T^2 + q)^j."""
+    g = len(h) - 1
+    f = [0] * (2 * g + 1)
+    for j, b in enumerate(h):
+        for i in range(j + 1):
+            f[g - j + 2 * i] += b * comb(j, i) * q ** (j - i)
+    return f
 
 
 def factor_degrees_by_powmod(coeffs, p):

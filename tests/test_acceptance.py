@@ -19,7 +19,6 @@ from isolab.dieudonne import (
     gmn_normal_form,
     np_of_display,
     np_sigma_trivial,
-    serre_tate_relation_matrix,
     serre_tate_torsion,
 )
 from isolab.errors import PlaceResolutionError
@@ -36,6 +35,8 @@ from isolab.semimodule import sm_dual, sm_enumerate, sm_principal
 from isolab.snf import elementary_divisors
 from isolab.weil import honda_tate, weil_from_real_trace, weil_verify
 from isolab.witt import WittContext, ghost_components, ghost_inverse
+
+from integer_oracles import serre_tate_relation_matrix
 
 
 def _primes_upto(n):

@@ -426,6 +426,38 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["weil", "verify", "--json", '{"minpoly": [1, 1, 2], "p": 2, "n": 1e400}'],
+            ["np", "dim", "--json", '{"slopes": [1e400]}'],
+            ["np", "dim", "--json", '{"pairs": [[1e400, 1]]}'],
+            ["semimod", "normalize", "--json", '{"m": 2, "n": 3, "heads": [1e400]}'],
+            ["dieudonne", "a-number", "--json", '{"p": 2, "h": 1e400, "F": [[1]], "V": [[2]]}'],
+            ["cartier", "mul", "--x", '{"p": 2, "vcap": 1e400}', "--y", '{"p": 2}'],
+        ],
+    )
+    def test_number_past_float_range_is_2(self, capsys, argv):
+        # JSON reads 1e400 as inf, and int() or Fraction() of it once raised
+        # an OverflowError out of main
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err and "error:" in err
+
+    @pytest.mark.parametrize(
+        "action, payload",
+        [
+            ("a-number", {"p": 2, "h": 1, "F": [[1]], "V": [[2, 0], [0, 2]]}),
+            ("dual", {"p": 2, "h": 1, "F": [[1]], "V": [[2, 0], [0, 2]]}),
+            ("a-number", {"p": 2, "h": 1, "F": [[1, 0], [0, 1]], "V": [[2]]}),
+            ("a-number", {"p": 2, "h": 1, "F": [], "V": [[1]]}),
+        ],
+    )
+    def test_v_of_another_size_than_f_is_2(self, capsys, action, payload):
+        # the first once printed 0, the others ended in an IndexError
+        assert main(["dieudonne", action, "--json", json.dumps(payload)]) == 2
+        assert capsys.readouterr() == ("", "error: V must have the size of F\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["np", "dim", "--json", DEEP],
             ["np", "construct", "--json", DEEP],
             ["weil", "verify", "--json", DEEP],

@@ -23,7 +23,6 @@ from isolab.dieudonne import (
     gmn_normal_form,
     np_of_display,
     np_sigma_trivial,
-    serre_tate_relation_matrix,
     serre_tate_torsion,
 )
 from isolab.errors import InputError, PrecisionError
@@ -31,6 +30,8 @@ from isolab.newton import np_from_pairs
 from isolab.snf import elementary_divisors, smith_normal_form
 from isolab.unramified import unramified_ring
 from isolab.witt import WittContext
+
+from integer_oracles import serre_tate_relation_matrix
 
 
 def coprime_pairs(max_h, minimum=0):
@@ -107,6 +108,15 @@ class TestGmn:
         bad_v = [[ctx.ring.one(), ctx.ring.zero()], [ctx.ring.zero(), ctx.ring.one()]]
         with pytest.raises(InputError):
             DieudonnePresentation(ctx, good.F, bad_v)
+
+    def test_v_of_another_size_than_f_rejected(self):
+        # once a-number read only V's top-left corner, and F.sigma(V) ran
+        # past the shorter matrix
+        ctx = WittContext(2, 1, 5)
+        one, two = ctx.ring.one(), ctx.ring.from_int(2)
+        for F, V in (([[one]], [[two, 0], [0, two]]), ([[one, 0], [0, one]], [[two]]), ([], [[one]])):
+            with pytest.raises(InputError, match="V must have the size of F"):
+                DieudonnePresentation(ctx, F, V)
 
 
 class TestANumber:

@@ -65,6 +65,36 @@ def dfs_heads(m, n):
     return sorted(out)
 
 
+def principal_by_closure(m, n):
+    """<0> by breadth-first closure of {0} under +m and +n up to 2r + m + n."""
+    r = (m - 1) * (n - 1) // 2
+    members = {0}
+    frontier = [0]
+    bound = 2 * r + m + n
+    while frontier:
+        x = frontier.pop()
+        for step in (m, n):
+            y = x + step
+            if y <= bound and y not in members:
+                members.add(y)
+                frontier.append(y)
+    return SemiModule(m, n, sorted(x for x in range(2 * r) if x in members))
+
+
+class TestPrincipal:
+    def test_heads_match_the_closure(self):
+        for m in range(1, 16):
+            for n in range(1, 16):
+                if gcd(m, n) == 1:
+                    assert sm_principal(m, n).heads == principal_by_closure(m, n).heads, (m, n)
+
+    @pytest.mark.parametrize("m, n", [(-1, 2), (2, -1), (0, 1), (1, 0), (0, 0), (2, 4)])
+    def test_bad_pair_rejected(self, m, n):
+        # (-1, 2) once closed downwards without bound
+        with pytest.raises(InputError, match="coprime positive integers"):
+            sm_principal(m, n)
+
+
 class TestNormalize:
     def test_principal_23(self):
         z = sm_principal(2, 3)

@@ -11,11 +11,10 @@ import pytest
 
 from isolab import weil
 from isolab.errors import InputError, IsolabError, PlaceResolutionError
-from isolab._arith import poly_add, poly_deriv, poly_eval, poly_mul, poly_primitive, poly_sub, poly_trim
+from isolab._arith import poly_add, poly_deriv, poly_eval, poly_mul, poly_primitive, poly_rem, poly_sub, poly_trim
 from isolab.weil import (
     HondaTateData,
     WeilRejection,
-    _int_poly_divides,
     _rational_roots,
     _real_weil_polynomial,
     _roots_all_real_and_bounded,
@@ -28,7 +27,7 @@ from isolab.weil import (
     weil_verify,
 )
 
-from qpoly import field_stable_under_power, q_divmod, q_gcd, rational_roots_by_divisors
+from qpoly import field_stable_under_power, q_divmod, q_gcd, rational_roots_by_divisors, weil_transform
 from qpoly import irreducible_by_backstop as _irreducible_by_backstop
 
 
@@ -132,6 +131,12 @@ class TestSturm:
         assert count_real_roots(f, lower=0, upper=1) == 1  # the root 1 is in (0, 1]
         assert count_real_roots(f, lower=1, upper=None) == 0
         assert count_real_roots([Fraction(c, 6) for c in f], -2, 1) == 1
+
+    def test_float_endpoint_is_read_exactly(self):
+        # x - (2^60 + 1) at the float 2^60 is -1, which float arithmetic
+        # rounds to 0
+        assert count_real_roots([-(2**60 + 1), 1], 2.0**60) == 1
+        assert count_real_roots([-(2**60 + 1), 1], 0.5, 2.0**60) == 0
 
     def test_counts_match_fraction_oracle_exhaustively(self):
         # every integer polynomial of degree <= 4 with coefficients in [-2, 2],
@@ -255,7 +260,7 @@ def test_int_poly_divides_is_the_fraction_definition():
         if rng.random() < 0.2:
             f = [rng.randint(-9, 9) for _ in range(rng.randrange(1, 8))] + [1]
         want = _divides_over_q(d, f)
-        assert _int_poly_divides(d, f) is want, (d, f)
+        assert (not poly_rem(f, d)) is want, (d, f)
         seen.add(want)
     assert seen == {True, False}
 
@@ -641,8 +646,8 @@ def test_real_weil_transform_of_a_product_is_the_product_of_transforms():
         h1, h2 = ([rng.randint(-20, 20) for _ in range(rng.randint(1, 4))] + [1] for _ in range(2))
         q = rng.choice((2, 3, 4, 5, 6, 9, 2**61 - 1))
         h = poly_mul(h1, h2)
-        f = weil._weil_transform(h, q)
-        assert f == poly_mul(weil._weil_transform(h1, q), weil._weil_transform(h2, q)), (h1, h2, q)
+        f = weil_transform(h, q)
+        assert f == poly_mul(weil_transform(h1, q), weil_transform(h2, q)), (h1, h2, q)
         assert _real_weil_polynomial(f, q) == h
         if min(len(h1), len(h2)) == 2:
             # h has a rational root, so its own test is quick
@@ -704,6 +709,41 @@ def test_q_symmetry_is_read_off_f():
     assert weil._real_weil_step([-4, 0, 0, 0, 1]) is None  # f(0) < 0
     assert weil._real_weil_step([8, 4, 2, 1]) is None  # odd degree
     assert weil._real_weil_step([4, 0, 3, 0, 1]) == (False, None)  # h = x^2 - 1, reducible
+
+
+def _symmetric_by_round_trip(f, q):
+    return weil_transform(_real_weil_polynomial(f, q), q) == f
+
+
+def test_functional_equation_is_the_round_trip_on_quartics():
+    # every monic quartic with c_0 in 1..16 and |c_1|, |c_2|, |c_3| <= 6
+    seen = set()
+    for c0 in range(1, 17):
+        q = weil._int_root(c0, 2)
+        for c1, c2, c3 in product(range(-6, 7), repeat=3):
+            f = [c0, c1, c2, c3, 1]
+            want = _symmetric_by_round_trip(f, q)
+            assert weil._functional_equation(f, q) is want, f
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_functional_equation_is_the_round_trip_on_transforms():
+    # seeded T^g h(T + q/T) for h of degree 2..8, one coefficient below the
+    # leading one perturbed half the time
+    rng = random.Random(2501)
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        g = rng.randint(2, 8)
+        q = rng.choice((2, 3, 4, 5, 7, 9, 2**61 - 1))
+        f = weil_transform([rng.randint(-9, 9) for _ in range(g)] + [1], q)
+        if rng.random() < 0.5:
+            f[rng.randrange(2 * g)] += rng.choice((-1, 1)) * rng.randint(1, 3)
+        q = weil._int_root(f[0], g)
+        want = _symmetric_by_round_trip(f, q)
+        assert weil._functional_equation(f, q) is want, (f, q)
+        seen[want] += 1
+    assert min(seen.values()) > 1000, seen
 
 
 # sha256 of (q, a, b, weil_verify verdict) over the 756 box quartics,
@@ -838,7 +878,7 @@ def test_symmetric_sextics_and_octics_match_the_backstop_path():
     cases = []
     for _ in range(24):
         q = rng.choice((2, 3, 4, 5))
-        cases.append(weil._weil_transform([rng.randint(-3, 3) for _ in range(3)] + [1], q))
+        cases.append(weil_transform([rng.randint(-3, 3) for _ in range(3)] + [1], q))
     for _ in range(8):
         q = rng.choice((2, 3))
         F = [rng.choice((1, -1, q, -q))] + [rng.randint(-1, 1) for _ in range(2)] + [1]

@@ -17,9 +17,9 @@ from isolab.witt import (
     WittContext,
     ghost_components,
     ghost_inverse,
-    witt_coordinate_product,
-    witt_coordinate_sum,
 )
+
+from integer_oracles import witt_coordinate_product, witt_coordinate_sum
 
 
 class TestGhost:
