@@ -227,7 +227,7 @@ def _from_int(ctx, k):
     ring = _working_ring(ctx, ctx.vcap + guard)
     field = ctx.field
     keys, rest = ring.digit_keys(ring.from_int(k).coeffs, ctx.vcap)
-    table = {(b, b): FFElement._reduced(field, field._twist(r, b)) for b, r in enumerate(keys) if any(r)}
+    table = {(b, b): field.twist(r, b) for b, r in enumerate(keys) if any(r)}
     return CartierElement._of(ctx, table, any(c % ctx.p**guard for c in rest))
 
 
@@ -296,7 +296,7 @@ def cartier_normalize(context, raw_terms, truncated=False):
             a = i + b
             if a < 0:
                 raise PrecisionError("digit below the F-side floor (internal)")
-            table[(a, b)] = FFElement._reduced(field, field._twist(r, a))
+            table[(a, b)] = field.twist(r, a)
         # after `digits` exact divisions only `guard` digits of v are still
         # certified (the top digits are mod-p^P wraparound noise).  The true
         # residual is sum n_j tau_j with sum|n_j| <= weight, so if nonzero

@@ -695,7 +695,7 @@ def main(argv=None):
     except PrecisionError as ex:
         print("precision error: %s" % ex, file=sys.stderr)
         return 3
-    except (IsolabError, ValueError, KeyError, TypeError, ArithmeticError, OSError, json.JSONDecodeError) as ex:
+    except (IsolabError, ValueError, KeyError, TypeError, ArithmeticError, OSError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2
 

@@ -2,11 +2,15 @@
 
 The ring behind every Witt/Dieudonne computation here is
 Z[x] / (p^N, hbar(x)) where hbar is a fixed monic degree-m polynomial that
-is irreducible mod p.  Reduction mod p gives F_{p^m}; sigma is the unique
-ring automorphism lifting a |-> a^p, obtained by Hensel-lifting the root
-x^p of hbar by Newton's method with a carried inverse of hbar', so a cold
-ring costs O(m log N) products.  Working at explicit precision N keeps
-every valuation claim certifiable.
+is irreducible mod p.  At N = 1 it is F_{p^m} itself, which is
+W_1(F_{p^m}) (Serre, Local Fields, II 5): the field and its lift rings
+share one ring class and one element class, coefficients mod p^N, and
+`FiniteField`/`FFElement` are the case N = 1 of `UnramifiedRing`/
+`UElement`, built without the lift.  sigma is the unique ring automorphism
+lifting a |-> a^p: Frobenius at N = 1, and for a lift ring obtained by
+Hensel-lifting the root x^p of hbar by Newton's method with a carried
+inverse of hbar', so a cold ring costs O(m log N) products.  Working at
+explicit precision N keeps every valuation claim certifiable.
 """
 
 from functools import lru_cache
@@ -38,111 +42,167 @@ def _apply(rows, coeffs):
     return [sum(map(mul, row, coeffs)) for row in rows]
 
 
-def _frobenius_rows(algebra, table, k, image=None):
-    """Rows of the matrix of phi^k on the basis 1, x, ..., x^(m-1), where phi
-    is Frobenius on F_{p^m} or sigma on its lift ring: column j is phi^k(x)^j.
-    `table` holds the rows per k mod m, each filled when first asked for;
-    phi^k(x) is `image` for k = 1, else the k = 1 matrix applied k times to x."""
-    k %= algebra.m
-    rows = table.get(k)
-    if rows is None:
-        one = algebra.one()
-        if image is None:
-            image = [0, 1]
-            for _ in range(k):
-                image = _apply(table[1 % algebra.m], image)
-            image = type(one)(algebra, image)
-        cols = accumulate([image] * (algebra.m - 1), mul, initial=one)
-        rows = table[k] = list(zip(*(c.coeffs for c in cols)))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 
 
-class FFElement:
-    """Element of F_{p^m}, a polynomial of degree < m in the generator g."""
+class _Element:
+    """Element of Z/p^N[x]/(hbar): a polynomial of degree < m in the
+    generator, coefficients mod p^N.  Each subclass has its own product,
+    which the per-layer tracer times apart."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("ring", "coeffs")
 
-    def __init__(self, field, coeffs):
-        self.field = field
-        c = [x % field.p for x in coeffs]
-        c += [0] * (field.m - len(c))
-        self.coeffs = tuple(c[: field.m])
+    def __init__(self, ring, coeffs):
+        self.ring = ring
+        q = ring.pN
+        c = [x % q for x in coeffs]
+        c += [0] * (ring.m - len(c))
+        self.coeffs = tuple(c[: ring.m])
 
     @classmethod
-    def _reduced(cls, field, coeffs):
-        """The element of at most m coefficients already reduced mod p, as
-        `poly_mulmod` returns them: padded, not reduced again."""
+    def _reduced(cls, ring, coeffs):
+        """The element of at most m coefficients already reduced mod p^N,
+        as `poly_mulmod` returns them: padded, not reduced again."""
         e = cls.__new__(cls)
-        e.field = field
-        e.coeffs = tuple(coeffs) + (0,) * (field.m - len(coeffs))
+        e.ring = ring
+        e.coeffs = tuple(coeffs) + (0,) * (ring.m - len(coeffs))
         return e
 
     def __add__(self, other):
-        other = self.field.coerce(other)
-        return FFElement(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        other = self.ring.coerce(other)
+        return self.__class__(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
-        other = self.field.coerce(other)
-        return FFElement(self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        other = self.ring.coerce(other)
+        return self.__class__(self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return FFElement(self.field, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        other = self.field.coerce(other)
-        return FFElement._reduced(self.field, poly_mulmod(self.coeffs, other.coeffs, self.field.modulus, self.field.p))
+        return self.__class__(self.ring, [-a for a in self.coeffs])
 
     __radd__ = __add__
-    __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        return power(self, k, self.field.one())
+        """self^k for k >= 0: builtin `pow` mod p^N in Z/p^N (m = 1), else
+        square-and-multiply."""
+        r = self.ring
+        if r.m == 1 and k >= 0:
+            return self._reduced(r, (pow(self.coeffs[0], k, r.pN),))
+        return power(self, k, r.one())
 
     def inverse(self):
-        if self.is_zero():
-            raise InputError("inverse of zero")
-        # extended Euclid in F_p[x]
-        p = self.field.p
-        r0, r1 = self.field.modulus, poly_trim(self.coeffs)
+        """Extended Euclid in F_p[x] inverts the residue.  Any lift of that
+        inverse is right mod p, and Newton's z <- z(2 - u z) doubles the
+        p-adic accuracy each step: none at N = 1."""
+        ring = self.ring
+        p = ring.p
+        r0, r1 = ring.modulus, poly_trim([c % p for c in self.coeffs])
+        if not r1:
+            raise InputError(self._no_inverse)
         s0, s1 = [], [1]
         while len(r1) > 1:
             q, r = poly_divmod(r0, r1, p)
             r0, r1 = r1, r
             s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
         c = pow(r1[0], -1, p)
-        return FFElement(self.field, [c * x % p for x in s1])
-
-    def frobenius(self, k=1):
-        """self^(p^k), by the field's matrix of x -> x^(p^k)."""
-        if k % self.field.m == 0:
-            return self
-        return FFElement._reduced(self.field, self.field._twist(self.coeffs, k))
-
-    def frobenius_inv(self, k=1):
-        return self.frobenius(-k)
+        z = self.__class__(ring, [c * x for x in s1])
+        for _ in range((ring.N - 1).bit_length()):
+            z = z * (2 - self * z)
+        return z
 
     def is_zero(self):
         return not any(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = self.field.coerce(other)
-        return isinstance(other, FFElement) and self.field is other.field and self.coeffs == other.coeffs
+            other = self.ring.coerce(other)
+        return isinstance(other, _Element) and self.ring is other.ring and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.ring), self.coeffs))
+
+
+class _Ring:
+    """Z/p^N[x]/(hbar) with the matrices of sigma^k, filled once per k mod
+    m when first needed (sigma is Frobenius at N = 1)."""
+
+    def __init__(self, p, m, N, modulus):
+        self.p, self.m, self.N = p, m, N
+        self.pN = p**N
+        self.modulus = modulus
+        self._sigma = {}
+
+    def zero(self):
+        return self._element(self, [0])
+
+    def one(self):
+        return self._element(self, [1])
+
+    def generator(self):
+        return self._element(self, [0, 1])
+
+    def _twist(self, coeffs, k):
+        """The coefficients of sigma^k(c), for any integer k and c given by
+        its m coefficients mod p^N: sigma^k on a plain tuple, by its matrix
+        on the basis 1, x, ..., x^(m-1), whose column j is sigma^k(x)^j.
+        sigma^k(x) is the k = 1 matrix applied k times to x, and sigma(x)
+        is x^p at N = 1; a lift ring enters its k = 1 matrix when built."""
+        k %= self.m
+        if not k:
+            return coeffs
+        rows = self._sigma.get(k)
+        if rows is None:
+            if k == 1:
+                image = self.generator() ** self.p
+            else:
+                image = [0, 1]
+                for _ in range(k):
+                    image = self._twist(image, 1)
+                image = self._element._reduced(self, image)
+            cols = accumulate([image] * (self.m - 1), mul, initial=self.one())
+            rows = self._sigma[k] = list(zip(*(c.coeffs for c in cols)))
+        pN = self.pN
+        return [sum(map(mul, row, coeffs)) % pN for row in rows]
+
+    def twist(self, coeffs, k):
+        """sigma^k(c) as an element, for c given by its coefficients mod p^N."""
+        return self._element._reduced(self, self._twist(coeffs, k))
+
+
+class FFElement(_Element):
+    """Element of F_{p^m}, a polynomial of degree < m in the generator g."""
+
+    __slots__ = ()
+    field = _Element.ring
+    _no_inverse = "inverse of zero"
+
+    def __mul__(self, other):
+        other = self.field.coerce(other)
+        return FFElement._reduced(self.field, poly_mulmod(self.coeffs, other.coeffs, self.field.modulus, self.field.p))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        """A negative power is a power of the inverse."""
+        return _Element.__pow__(self.inverse() if k < 0 else self, abs(k))
+
+    def frobenius(self, k=1):
+        """self^(p^k), by the field's matrix of x -> x^(p^k)."""
+        if k % self.field.m == 0:
+            return self
+        return self.field.twist(self.coeffs, k)
+
+    def frobenius_inv(self, k=1):
+        return self.frobenius(-k)
 
     def __repr__(self):
         return "FF(%s)" % render_ff(self)
 
 
-class FiniteField:
-    """F_{p^m} in a fixed polynomial basis; p must be prime and m >= 1."""
+class FiniteField(_Ring):
+    """F_{p^m} in a fixed polynomial basis, the ring at N = 1; p must be
+    prime and m >= 1."""
+
+    _element = FFElement
 
     def __init__(self, p, m):
         require_prime(p)
@@ -150,10 +210,8 @@ class FiniteField:
             raise InputError("field degree m must be >= 1, got %r" % (m,))
         if m > MAX_FIELD_BITS or (p**m).bit_length() > MAX_FIELD_BITS:  # p^m has over m bits
             raise InputError("field size %d^%d exceeds the cap of %d bits" % (p, m, MAX_FIELD_BITS))
-        self.p = p
-        self.m = m
-        self.modulus = default_modulus(p, m)
-        self._frobenius = {}
+        super().__init__(p, m, 1, default_modulus(p, m))
+        self._frobenius = self._sigma  # sigma's table under the field's name for it
 
     def __call__(self, coeffs):
         if isinstance(coeffs, int):
@@ -168,30 +226,6 @@ class FiniteField:
         if isinstance(x, int):
             return FFElement(self, [x])
         raise InputError("cannot coerce %r" % (x,))
-
-    def zero(self):
-        return FFElement(self, [0])
-
-    def one(self):
-        return FFElement(self, [1])
-
-    def generator(self):
-        return FFElement(self, [0, 1])
-
-    def _frobenius_matrix(self, k):
-        """Rows of the matrix of x -> x^(p^k) on the basis 1, g, ...,
-        g^(m-1), whose column j is (g^j)^(p^k); built once per k mod m."""
-        if not self._frobenius:
-            _frobenius_rows(self, self._frobenius, 1, self.generator() ** self.p)
-        return _frobenius_rows(self, self._frobenius, k)
-
-    def _twist(self, coeffs, k):
-        """The coefficients of c^(p^k) for c given by its m coefficients
-        mod p: `FFElement.frobenius` on a plain tuple, with no element built."""
-        if k % self.m == 0:
-            return coeffs
-        p = self.p
-        return [sum(map(mul, row, coeffs)) % p for row in self._frobenius_matrix(k)]
 
     def elements(self):
         """All p^m elements, in a fixed order."""
@@ -247,68 +281,23 @@ def parse_ff(field, text):
 # ---------------------------------------------------------------------------
 
 
-class UElement:
+class UElement(_Element):
     """Element of W_N(F_{p^m}) in the lift representation: an integer
     polynomial of degree < m, coefficients mod p^N."""
 
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        q = ring.pN
-        c = [x % q for x in coeffs]
-        c += [0] * (ring.m - len(c))
-        self.coeffs = tuple(c[: ring.m])
-
-    @classmethod
-    def _reduced(cls, ring, coeffs):
-        """The element of at most m coefficients already reduced mod p^N,
-        as `poly_mulmod` returns them: padded, not reduced again."""
-        e = cls.__new__(cls)
-        e.ring = ring
-        e.coeffs = tuple(coeffs) + (0,) * (ring.m - len(coeffs))
-        return e
-
-    def _same(self, other):
-        if isinstance(other, int):
-            return UElement(self.ring, [other])
-        if not isinstance(other, UElement) or other.ring is not self.ring:
-            raise InputError("context mismatch")
-        return other
-
-    def __add__(self, other):
-        other = self._same(other)
-        return UElement(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        other = self._same(other)
-        return UElement(self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return UElement(self.ring, [-a for a in self.coeffs])
+    __slots__ = ()
+    _no_inverse = "not a unit"
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return UElement(self.ring, [other * a for a in self.coeffs])
         r = self.ring
-        return UElement._reduced(r, poly_mulmod(self.coeffs, self._same(other).coeffs, r.modulus, r.pN))
+        if isinstance(other, int):
+            return UElement(r, [other * a for a in self.coeffs])
+        return UElement._reduced(r, poly_mulmod(self.coeffs, r.coerce(other).coeffs, r.modulus, r.pN))
 
-    __radd__ = __add__
     __rmul__ = __mul__
 
     def __rsub__(self, other):
-        return self._same(other) - self
-
-    def __pow__(self, k):
-        """self^k for k >= 0: builtin `pow` mod p^N in Z/p^N (m = 1), else
-        square-and-multiply."""
-        r = self.ring
-        if r.m == 1 and k >= 0:
-            return UElement._reduced(r, (pow(self.coeffs[0], k, r.pN),))
-        return power(self, k, r.one())
-
-    def is_zero(self):
-        return not any(self.coeffs)
+        return self.ring.coerce(other) - self
 
     def is_unit(self):
         return not self.residue().is_zero()
@@ -321,39 +310,20 @@ class UElement:
         return min(vp(c, self.ring.p) for c in self.coeffs if c)
 
     def residue(self):
-        return FFElement(self.ring.field, [c % self.ring.p for c in self.coeffs])
+        return FFElement(self.ring.field, self.coeffs)
 
     def sigma(self, k=1):
         return self.ring.sigma(self, k)
-
-    def inverse(self):
-        if not self.is_unit():
-            raise InputError("not a unit")
-        # any lift of the residue inverse is right mod p, and Newton's
-        # z <- z(2 - u z) doubles the p-adic accuracy each step
-        z = UElement(self.ring, self.residue().inverse().coeffs)
-        for _ in range((self.ring.N - 1).bit_length()):
-            z = z * (2 - self * z)
-        return z
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = UElement(self.ring, [other])
-        return isinstance(other, UElement) and self.ring is other.ring and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((id(self.ring), self.coeffs))
 
     def __repr__(self):
         return "U(%s; p=%d,m=%d,N=%d)" % (list(self.coeffs), self.ring.p, self.ring.m, self.ring.N)
 
 
-class UnramifiedRing:
+class UnramifiedRing(_Ring):
     """W_N(F_{p^m}) = Z[x]/(p^N, hbar), with the Frobenius lift sigma.
 
     sigma is a genuine ring automorphism reducing to a |-> a^p mod p and
-    satisfying sigma^m = id; both facts are asserted at construction.  Like
-    the field's Frobenius, sigma^k is a matrix filled once per k mod m.
+    satisfying sigma^m = id; both facts are asserted at construction.
 
     sigma(x) is the root r of hbar with r = x^p mod p, found by Newton's
     method with a carried approximate inverse z of hbar'(r):
@@ -377,16 +347,17 @@ class UnramifiedRing:
     last table.
     """
 
+    _element = UElement
+
     def __init__(self, p, m, N):
         if N < 1:
             raise InputError("precision N must be >= 1")
         self.field = finite_field(p, m)
-        self.p, self.m, self.N = p, m, N
-        self.pN = p**N
-        self.modulus = f = self.field.modulus
+        super().__init__(p, m, N, self.field.modulus)
         self._teichmuller = {}
+        f = self.modulus
         df = poly_deriv(f)
-        x = y = UElement(self, [0, 1])
+        x = y = self.generator()
         r, z = x**p, None
         for _ in range((N - 1).bit_length() + 2):
             powers = [self.one(), *accumulate([r] * m, mul)]  # r^0..r^m
@@ -399,17 +370,18 @@ class UnramifiedRing:
             r = r - value * z
         else:
             raise PrecisionError("Frobenius lift did not converge")
-        self._sigma = {1 % m: [row[:m] for row in rows]}
+        self._sigma[1 % m] = [row[:m] for row in rows]
         for _ in range(m):
             y = self.sigma(y)
         if y != x:
             raise PrecisionError("sigma^m != id; modulus not unramified-compatible")
 
-    def zero(self):
-        return UElement(self, [0])
-
-    def one(self):
-        return UElement(self, [1])
+    def coerce(self, x):
+        if isinstance(x, int):
+            return UElement(self, [x])
+        if not isinstance(x, UElement) or x.ring is not self:
+            raise InputError("context mismatch")
+        return x
 
     def from_int(self, k):
         return UElement(self, [k])
@@ -421,9 +393,7 @@ class UnramifiedRing:
         """sigma^k(elem) for any integer k, by the matrix of sigma^(k mod m)."""
         if elem.ring is not self:
             raise InputError("context mismatch")
-        if k % self.m == 0:
-            return elem
-        return UElement(self, _apply(_frobenius_rows(self, self._sigma, k), elem.coeffs))
+        return elem if k % self.m == 0 else self.twist(elem.coeffs, k)
 
     def teichmuller(self, c):
         """The multiplicative lift: the unique root of unity (or 0)

@@ -12,7 +12,7 @@ from operator import mul
 
 from ._arith import require_prime
 from .errors import InputError
-from .unramified import FFElement, UElement, unramified_ring
+from .unramified import UElement, unramified_ring
 
 __all__ = [
     "WittContext",
@@ -189,7 +189,7 @@ class WittElement:
         their residue tuples, one field element per coordinate."""
         field = self.context.field
         keys, _ = self.context.ring.digit_keys(self.value.coeffs, self.context.N)
-        return [FFElement._reduced(field, field._twist(r, i)) for i, r in enumerate(keys)]
+        return [field.twist(r, i) for i, r in enumerate(keys)]
 
     def is_zero(self):
         return self.value.is_zero()

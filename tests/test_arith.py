@@ -681,3 +681,28 @@ def test_negative_power_of_a_ring_element_is_refused(setup):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.stdout.startswith("refused:") and proc.stderr == ""
+
+
+class TestInverse:
+    """u * u^-1 = 1 for every unit among the lifts of F_{p^m} to W_N: the
+    ring inverse starts from the field's Euclid inverse of the residue."""
+
+    @pytest.mark.parametrize("p, m", SMALL_FIELDS)
+    def test_every_unit_lift_times_its_inverse_is_one(self, p, m):
+        field = finite_field(p, m)
+        for c in field.elements()[1:]:
+            assert c * c.inverse() == field.one() == c.inverse() * c, c
+        with pytest.raises(InputError, match="^inverse of zero$"):
+            field.zero().inverse()
+        for N in (1, 2, 3, 5):
+            ring = unramified_ring(p, m, N)
+            for i, c in enumerate(field.elements()):
+                lifts = [UElement(ring, c.coeffs), UElement(ring, [x + p * (i + j) for j, x in enumerate(c.coeffs)])]
+                for u in lifts:
+                    if c.is_zero():
+                        assert not u.is_unit()
+                        with pytest.raises(InputError, match="^not a unit$"):
+                            u.inverse()
+                    else:
+                        assert u * u.inverse() == ring.one(), (N, u)
+                        assert u.inverse().residue() == c.inverse(), (N, u)

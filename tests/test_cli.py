@@ -247,6 +247,21 @@ class TestExitCodes:
         assert proc.returncode == 2
 
     @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["np", "construct", "--json", "{not json"], "{not json"),
+            (["cartier", "mul", "--x", '{"p": 2,}', "--y", '{"p": 2}'], '{"p": 2,}'),
+            (["dieudonne", "a-number", "--json", "[1, 2"], "[1, 2"),
+        ],
+    )
+    def test_invalid_json_text_is_2_with_the_decoder_message(self, capsys, argv, text):
+        # a json.JSONDecodeError is a ValueError: main reports it as one
+        with pytest.raises(json.JSONDecodeError) as info:
+            json.loads(text)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % info.value)
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (["cartier", "mul"], "--x"),

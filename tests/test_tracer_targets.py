@@ -5,15 +5,18 @@ The tracer (perfbench/tracer.py) patches the functions it names in
 deletion in src/isolab would otherwise only show in a traced benchmark
 run.  This test loads the tracer by path and only reads it.  Each poset
 build must also call ``enumerate_polygons`` once through the module
-attribute the tracer patches."""
+attribute the tracer patches, and each traced name must be its own
+function object: the tracer patches by identity, so a function that two
+names share is wrapped twice and counted under both."""
 
 import importlib
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from isolab import poset
+from isolab import poset, unramified
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -40,6 +43,54 @@ def test_traced_name_resolves(name):
     module = importlib.import_module("isolab." + layer)
     holders = [module] + [v for v in vars(module).values() if isinstance(v, type)]
     assert any(value is func for holder in holders for value in vars(holder).values()), name
+
+
+def test_traced_names_are_distinct_objects():
+    funcs = [tracer._resolve(name)[1] for name in tracer.TRACED]
+    assert len(tracer.TRACED) == 35
+    assert len({id(f) for f in funcs}) == len(funcs)
+
+
+def _count_calls(monkeypatch, names):
+    """Patch `names` in the classes of their modules by identity, one name
+    after the other, as `Tracer.install` does; the calls per name."""
+    calls = Counter()
+    for name in names:
+        layer, func = tracer._resolve(name)
+        module = importlib.import_module("isolab." + layer)
+
+        def counting(*args, _name=name, _func=func, **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
+
+        for holder in [module] + [v for v in vars(module).values() if isinstance(v, type)]:
+            for attr, value in list(vars(holder).items()):
+                if value is func:
+                    monkeypatch.setattr(holder, attr, counting)
+    return calls
+
+
+def test_each_product_is_counted_under_its_own_name(monkeypatch):
+    field, ring = unramified.finite_field(3, 2), unramified.unramified_ring(3, 2, 4)
+    calls = _count_calls(monkeypatch, [name for name in tracer.TRACED if name.startswith("unramified.")])
+    field.generator() * field.one()
+    assert calls == Counter({"unramified.FFElement.__mul__": 1})
+    calls.clear()
+    ring.one() * ring.from_coeffs([0, 1])
+    assert calls == Counter({"unramified.UElement.__mul__": 1})
+
+
+def test_rings_built_counts_lift_rings_only(monkeypatch):
+    # the tracer reads `unramified.rings_built` off the calls of the
+    # traced `UnramifiedRing`; a field build is not one of them
+    calls = _count_calls(monkeypatch, ["unramified.UnramifiedRing"])
+    unramified.FiniteField(3, 2)
+    unramified.finite_field(2, 5)
+    assert not calls
+    unramified.unramified_ring.cache_clear()
+    unramified.finite_field.cache_clear()
+    unramified.unramified_ring(2, 3, 4)  # builds F_8 too
+    assert calls == Counter({"unramified.UnramifiedRing": 1})
 
 
 
