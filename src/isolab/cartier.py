@@ -16,12 +16,10 @@ collapse to the single rule
 """
 
 from fractions import Fraction
-from functools import cached_property
 
-from ._arith import base_p_digits, euler_phi, poly_mulmod, power, require_prime
+from ._arith import base_p_digits, poly_mulmod, power, require_prime
 from .errors import InputError, PrecisionError
-from .unramified import FFElement, finite_field, parse_ff, render_ff, unramified_ring
-from .witt import WittElement
+from .unramified import FFElement, UElement, finite_field, parse_ff, render_ff, unramified_ring
 
 __all__ = [
     "CartierContext",
@@ -53,12 +51,6 @@ class CartierContext:
             raise InputError("V-cap must be >= 1")
         self.p, self.m, self.vcap = p, m, vcap
         self.field = finite_field(p, m)
-
-    @cached_property
-    def phi(self):
-        """euler_phi(p^m - 1), which scales the guard digits of a carrying
-        diagonal and of `_from_int`; computed the first time it is read."""
-        return euler_phi(self.p**self.m - 1)
 
     def element(self, terms, truncated=False):
         return cartier_normalize(self, terms, truncated=truncated)
@@ -156,21 +148,19 @@ class CartierElement:
         return power(self, k, self.context.one())
 
     def act(self, w):
-        """Action on a Witt vector: V, F, <c> act as Verschiebung,
-        Frobenius and Teichmuller multiplication."""
-        if not isinstance(w, WittElement):
+        """Action on a Witt vector, an element of W_N(F_{p^m}): V, F, <c>
+        act as Verschiebung, Frobenius and Teichmuller multiplication."""
+        if not isinstance(w, UElement):
             raise InputError("action target must be a WittElement")
-        ring = w.context.ring
-        if (ring.p, w.context.m) != (self.context.p, self.context.m):
+        ring = w.ring
+        if (ring.p, ring.m) != (self.context.p, self.context.m):
             raise InputError("field mismatch between Cartier element and Witt vector")
         acc = ring.zero()
         for (a, b), c in self.terms.items():
-            if a >= w.context.N:
-                raise PrecisionError(
-                    "V^%d shift exceeds Witt precision N=%d" % (a, w.context.N)
-                )
-            acc = acc + self.context.p**a * ring.teichmuller(c.frobenius_inv(a)) * ring.sigma(w.value, b - a)
-        return WittElement(w.context, acc)
+            if a >= ring.N:
+                raise PrecisionError("V^%d shift exceeds Witt precision N=%d" % (a, ring.N))
+            acc = acc + self.context.p**a * ring.teichmuller(c.frobenius_inv(a)) * ring.sigma(w, b - a)
+        return acc
 
     def is_zero(self):
         return not self.terms
@@ -223,7 +213,7 @@ def _working_ring(ctx, N):
 def _from_int(ctx, k):
     """The integer k inside the W(F_{p^m}) subring: Teichmuller digits of
     k on the main diagonal, rows (b, b), already in canonical form."""
-    guard = ctx.phi * (base_p_digits(abs(k), ctx.p) + 1) + 2
+    guard = ctx.field.phi * (base_p_digits(abs(k), ctx.p) + 1) + 2
     ring = _working_ring(ctx, ctx.vcap + guard)
     field = ctx.field
     keys, rest = ring.digit_keys(ring.from_int(k).coeffs, ctx.vcap)
@@ -287,7 +277,7 @@ def cartier_normalize(context, raw_terms, truncated=False):
         if digits > MAX_WORKING_PRECISION:  # checked before p**digits is formed
             raise InputError("Cartier working precision over %d exceeds the cap of %d" % (digits, MAX_WORKING_PRECISION))
         weight = sum(p**b for _, b, _ in terms) + p**digits  # bound on sum|n_j|
-        guard = context.phi * base_p_digits(weight, p) + 2
+        guard = field.phi * base_p_digits(weight, p) + 2
         ring = _working_ring(context, digits + guard)
         keys, v = ring.digit_keys(ring.teichmuller_sum(terms), digits)
         for b, r in enumerate(keys):

@@ -13,11 +13,11 @@ inverse of hbar', so a cold ring costs O(m log N) products.  Working at
 explicit precision N keeps every valuation claim certifiable.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import mul
 
-from ._arith import factor_degrees, poly_deriv, poly_divmod, poly_mul, poly_mulmod, poly_sub, poly_trim, power, require_prime, vp
+from ._arith import euler_phi, factor_degrees, poly_deriv, poly_divmod, poly_mul, poly_mulmod, poly_sub, poly_trim, power, require_prime, vp
 from .errors import InputError, PrecisionError
 
 # Largest bit length of the field size p^m.  On a 2-vCPU Xeon a fresh-process
@@ -213,6 +213,12 @@ class FiniteField(_Ring):
         super().__init__(p, m, 1, default_modulus(p, m))
         self._frobenius = self._sigma  # sigma's table under the field's name for it
 
+    @cached_property
+    def phi(self):
+        """euler_phi(p^m - 1), which scales the guard digits of a carrying
+        Cartier diagonal; computed the first time it is read."""
+        return euler_phi(self.p**self.m - 1)
+
     def __call__(self, coeffs):
         if isinstance(coeffs, int):
             coeffs = [coeffs]
@@ -283,7 +289,9 @@ def parse_ff(field, text):
 
 class UElement(_Element):
     """Element of W_N(F_{p^m}) in the lift representation: an integer
-    polynomial of degree < m, coefficients mod p^N."""
+    polynomial of degree < m, coefficients mod p^N.  It is the Witt vector
+    of `witt` (`WittElement` is this class), with Frobenius, Verschiebung
+    and the Witt coordinate view."""
 
     __slots__ = ()
     _no_inverse = "not a unit"
@@ -314,6 +322,23 @@ class UElement(_Element):
 
     def sigma(self, k=1):
         return self.ring.sigma(self, k)
+
+    frobenius = sigma  # sigma^k, as `FFElement.frobenius(k)` on the residue
+
+    def frobenius_inv(self, k=1):
+        return self.ring.sigma(self, -k)
+
+    def verschiebung(self):
+        """V = p * sigma^(-1)."""
+        return self.ring.p * self.frobenius_inv()
+
+    def coordinates(self):
+        """The Witt coordinate view (c_0,...,c_{N-1}), c_i in F_{p^m}: the
+        Teichmuller digits r_i of the element, twisted to c_i = r_i^(p^i) on
+        their residue tuples, one field element per coordinate."""
+        ring = self.ring
+        keys, _ = ring.digit_keys(self.coeffs, ring.N)
+        return [ring.field.twist(r, i) for i, r in enumerate(keys)]
 
     def __repr__(self):
         return "U(%s; p=%d,m=%d,N=%d)" % (list(self.coeffs), self.ring.p, self.ring.m, self.ring.N)
@@ -446,5 +471,16 @@ class UnramifiedRing(_Ring):
 
 
 @lru_cache(maxsize=None)
+def _lift_ring(field, N):
+    return UnramifiedRing(field.p, field.m, N)
+
+
 def unramified_ring(p, m, N):
-    return UnramifiedRing(p, m, N)
+    """W_N(F_{p^m}) over the field that `finite_field(p, m)` returns now:
+    rings are cached per field object, so clearing the field cache alone
+    cannot leave a ring on a dropped field."""
+    return _lift_ring(finite_field(p, m), N)
+
+
+unramified_ring.cache_clear = _lift_ring.cache_clear
+unramified_ring.cache_info = _lift_ring.cache_info

@@ -1,11 +1,13 @@
 """Truncated p-typical Witt vectors over F_{p^m}.
 
-Elements live in the unramified lift W_N(F_{p^m}); Witt coordinates are a
-derived view.  The ghost map is kept as an exact integer computation so it
-can serve as an oracle for the ring structure: Witt sums and products of
-integer-lift coordinate vectors are recovered by inverting the ghost map
-over Z, which succeeds in exact integers precisely because the universal
-Witt polynomials are integral.
+W_N(F_{p^m}) is the unramified lift Z/p^N[x]/(hbar) (Serre, Local Fields,
+II 5), so a Witt vector is an element of that ring (`WittElement` is
+`unramified.UElement`) and its Witt coordinates are a derived view.  The
+ghost map is kept as an exact integer computation so it can serve as an
+oracle for the ring structure: Witt sums and products of integer-lift
+coordinate vectors are recovered by inverting the ghost map over Z, which
+succeeds in exact integers precisely because the universal Witt
+polynomials are integral.
 """
 
 from operator import mul
@@ -96,7 +98,8 @@ def ghost_inverse(ghosts, p):
 
 
 class WittContext:
-    """Fixes (p, m, N): the ring W_N(F_{p^m}) plus its residue field."""
+    """Fixes (p, m, N): the ring W_N(F_{p^m}) plus its residue field.  Its
+    Witt vectors are the ring's elements."""
 
     def __init__(self, p, m=1, N=2):
         self.ring = unramified_ring(p, m, N)
@@ -104,11 +107,7 @@ class WittContext:
         self.field = self.ring.field
 
     def element(self, value):
-        if isinstance(value, UElement):
-            if value.ring is not self.ring:
-                raise InputError("context mismatch")
-            return WittElement(self, value)
-        return WittElement(self, self.ring.from_int(int(value)))
+        return self.ring.coerce(value if isinstance(value, UElement) else int(value))
 
     def from_coordinates(self, coords):
         """Witt coordinates (c_0,...,c_{N-1}), c_i in F_{p^m} (or ints): the
@@ -117,92 +116,20 @@ class WittContext:
         if len(coords) > self.N:
             raise InputError("more coordinates than the precision carries")
         acc = self.ring.teichmuller_sum((i, i, c) for i, c in enumerate(coords))
-        return WittElement(self, UElement._reduced(self.ring, acc))
+        return UElement._reduced(self.ring, acc)
 
     def teichmuller(self, c):
-        return WittElement(self, self.ring.teichmuller(self.field.coerce(c)))
+        return self.ring.teichmuller(c)
 
     def zero(self):
-        return WittElement(self, self.ring.zero())
+        return self.ring.zero()
 
     def one(self):
-        return WittElement(self, self.ring.one())
+        return self.ring.one()
 
     def __repr__(self):
         return "WittContext(p=%d, m=%d, N=%d)" % (self.p, self.m, self.N)
 
 
-class WittElement:
-    """Element of W_N(F_{p^m}); immutable."""
-
-    __slots__ = ("context", "value")
-
-    def __init__(self, context, value):
-        self.context = context
-        self.value = value
-
-    def _same(self, other):
-        if isinstance(other, int):
-            return self.context.element(other)
-        if not isinstance(other, WittElement) or other.context is not self.context:
-            raise InputError("context mismatch")
-        return other
-
-    def __add__(self, other):
-        return WittElement(self.context, self.value + self._same(other).value)
-
-    def __sub__(self, other):
-        return WittElement(self.context, self.value - self._same(other).value)
-
-    def __neg__(self):
-        return WittElement(self.context, -self.value)
-
-    def __mul__(self, other):
-        return WittElement(self.context, self.value * self._same(other).value)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        return WittElement(self.context, self.value**k)
-
-    def frobenius(self):
-        """sigma; over F_p this is the identity."""
-        return WittElement(self.context, self.value.sigma())
-
-    def frobenius_inv(self):
-        return WittElement(self.context, self.value.sigma(-1))
-
-    def verschiebung(self):
-        """V = p * sigma^(-1)."""
-        ctx = self.context
-        return WittElement(ctx, ctx.p * self.value.sigma(-1))
-
-    def valuation(self):
-        """Exact p-adic valuation, or None when the element cannot be told
-        from 0 at precision N (reported as ">= N", never a number)."""
-        return self.value.valuation()
-
-    def coordinates(self):
-        """The Witt coordinate view (c_0,...,c_{N-1}), c_i in F_{p^m}: the
-        Teichmuller digits r_i of the value, twisted to c_i = r_i^(p^i) on
-        their residue tuples, one field element per coordinate."""
-        field = self.context.field
-        keys, _ = self.context.ring.digit_keys(self.value.coeffs, self.context.N)
-        return [field.twist(r, i) for i, r in enumerate(keys)]
-
-    def is_zero(self):
-        return self.value.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WittElement)
-            and other.context is self.context
-            and other.value == self.value
-        )
-
-    def __hash__(self):
-        return hash((id(self.context), self.value))
-
-    def __repr__(self):
-        return "WittElement(%s)" % (list(self.value.coeffs),)
+# A Witt vector of W_N(F_{p^m}) is an element of the lift ring.
+WittElement = UElement

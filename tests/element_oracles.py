@@ -5,7 +5,6 @@ intermediate a field or ring element: the oracles that the tuple paths of
 from isolab._arith import power
 from isolab.cartier import cartier_normalize
 from isolab.unramified import FFElement, UElement
-from isolab.witt import WittElement
 
 
 def cartier_product(x, y):
@@ -30,12 +29,12 @@ def from_coordinates(ctx, coords):
     """`WittContext.from_coordinates` as a sum of `UElement`s."""
     coords = [ctx.field.coerce(c) for c in coords]
     lifts = (ctx.p**i * ctx.ring.teichmuller(c.frobenius_inv(i)) for i, c in enumerate(coords))
-    return WittElement(ctx, sum(lifts, ctx.ring.zero()))
+    return sum(lifts, ctx.ring.zero())
 
 
 def coordinates(w):
     """`WittElement.coordinates` through `teichmuller_digits`."""
-    digits, _ = teichmuller_digits(w.context.ring, w.value, w.context.N)
+    digits, _ = teichmuller_digits(w.ring, w, w.ring.N)
     return [r.frobenius(i) for i, r in enumerate(digits)]
 
 

@@ -62,7 +62,7 @@ def oracle_normalize(context, raw_terms, truncated=False):
         digits = A - i
         assert digits <= MAX_WORKING_PRECISION
         weight = sum(p**b for _, b, _ in terms) + p**digits
-        guard = context.phi * base_p_digits(weight, p) + 2
+        guard = context.field.phi * base_p_digits(weight, p) + 2
         ring = _working_ring(context, digits + guard)
         acc = sum((ring.from_int(p) ** b * ring.teichmuller(c.frobenius_inv(a)) for a, b, c in terms), ring.zero())
         residues, v = oracle_digits(ring, acc, digits)
@@ -76,7 +76,7 @@ def oracle_normalize(context, raw_terms, truncated=False):
 
 
 def oracle_from_int(ctx, k):
-    guard = ctx.phi * (base_p_digits(abs(k), ctx.p) + 1) + 2
+    guard = ctx.field.phi * (base_p_digits(abs(k), ctx.p) + 1) + 2
     ring = _working_ring(ctx, ctx.vcap + guard)
     digits, rest = oracle_digits(ring, ring.from_int(k), ctx.vcap)
     raw = [(b, b, r.frobenius(b)) for b, r in enumerate(digits) if not r.is_zero()]
@@ -101,7 +101,7 @@ def lift_ring_normalize(context, raw_terms, truncated=False):
     for i, terms in diagonals.items():
         digits = A - i
         weight = sum(p**b for _, b, _ in terms) + p**digits
-        guard = context.phi * base_p_digits(weight, p) + 2
+        guard = context.field.phi * base_p_digits(weight, p) + 2
         ring = unramified_ring(p, context.m, digits + guard)
         acc = [0] * context.m
         for a, b, c in terms:
@@ -326,6 +326,20 @@ class TestNormalization:
                 CartierContext(p, m)
 
 
+    def test_rings_follow_the_field_cache(self):
+        # a cached ring once kept the field it was built with, so after
+        # clearing the field cache alone a new context's carrying diagonal
+        # raised "element from a different field"
+        results = []
+        for _ in range(2):
+            ctx = CartierContext(3, 2, vcap=3)
+            g = ctx.field.generator()
+            results.append(repr(cartier_normalize(ctx, [(0, 0, g), (0, 0, g)])))
+            assert unramified_ring(3, 2, 4).field is ctx.field is finite_field(3, 2)
+            finite_field.cache_clear()
+        assert results == ["Cartier(<2*g> + V <2*g> F)"] * 2
+
+
 class TestAction:
     def test_diag_one_acts_trivially(self):
         ctx = CartierContext(2, 2, vcap=5)
@@ -396,6 +410,24 @@ class TestAction:
         w = wctx.one()
         with pytest.raises(PrecisionError):
             ctx.monomial(3, 0, 1).act(w)
+
+    def test_action_takes_and_returns_a_ring_element(self):
+        ctx = CartierContext(3, 2, vcap=4)
+        wctx = WittContext(3, 2, 4)
+        w = wctx.from_coordinates([1, wctx.field.generator()])
+        out = ctx.V().act(w)
+        assert type(out) is UElement and out.ring is w.ring is wctx.ring
+        assert out == w.verschiebung()
+
+    @pytest.mark.parametrize("target", [3, "x", CartierContext(3, 2).one(), finite_field(3, 2).one()])
+    def test_action_refuses_a_non_element(self, target):
+        with pytest.raises(InputError, match="^action target must be a WittElement$"):
+            CartierContext(3, 2).one().act(target)
+
+    @pytest.mark.parametrize("p, m", [(3, 1), (2, 2), (5, 2)])
+    def test_action_refuses_another_field(self, p, m):
+        with pytest.raises(InputError, match="^field mismatch between Cartier element and Witt vector$"):
+            CartierContext(3, 2).one().act(WittContext(p, m, 3).one())
 
 
 def _artin_hasse_convolution(p, degree):

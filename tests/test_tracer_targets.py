@@ -10,6 +10,7 @@ function object: the tracer patches by identity, so a function that two
 names share is wrapped twice and counted under both."""
 
 import importlib
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -92,6 +93,26 @@ def test_rings_built_counts_lift_rings_only(monkeypatch):
     unramified.unramified_ring(2, 3, 4)  # builds F_8 too
     assert calls == Counter({"unramified.UnramifiedRing": 1})
 
+
+def test_cleared_caches_leave_no_ring_warm(monkeypatch):
+    # cli-mix clears every `cache_clear` callable of the isolab.* modules
+    # before each op (perfbench/workloads.py, `CliMix.before_op`) and counts
+    # each op's cold ring builds; no ring or field may survive the clearing
+    importlib.import_module("isolab.cli")
+    warm = unramified.unramified_ring(2, 3, 4)
+    caches = {
+        id(value): value
+        for name, module in list(sys.modules.items())
+        if name.startswith("isolab.") and module is not None
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_clear", None))
+    }
+    for cache in caches.values():
+        cache.cache_clear()
+    calls = _count_calls(monkeypatch, ["unramified.UnramifiedRing"])
+    ring = unramified.unramified_ring(2, 3, 4)
+    assert calls == Counter({"unramified.UnramifiedRing": 1})
+    assert ring is not warm and ring.field is unramified.finite_field(2, 3) is not warm.field
 
 
 _ISO, _ORD = poset.isoclinic_polygon(6, 3), poset.ordinary_polygon(6, 3)

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from isolab.cartier import CartierContext, artin_hasse
 from isolab.dieudonne import serre_tate_torsion
 from isolab.errors import InputError
-from isolab.unramified import FiniteField, unramified_ring
+from isolab.unramified import FiniteField, UElement, unramified_ring
 from isolab.witt import (
     MAX_GHOST_BITS,
     MAX_GHOST_COORDINATES,
     WittContext,
+    WittElement,
     ghost_components,
     ghost_inverse,
 )
@@ -212,6 +213,32 @@ class TestOperators:
     def test_context_mismatch(self):
         with pytest.raises(InputError):
             WittContext(2, 1, 3).one() + WittContext(3, 1, 3).one()
+
+
+class TestRingElements:
+    """A Witt vector is an element of the lift ring W_N(F_{p^m})."""
+
+    def test_witt_element_is_the_ring_element(self):
+        assert WittElement is UElement
+        ctx = WittContext(3, 2, 4)
+        for w in (ctx.zero(), ctx.one(), ctx.element(5), ctx.teichmuller(2), ctx.from_coordinates([1, 2])):
+            assert type(w) is UElement and w.ring is ctx.ring is unramified_ring(3, 2, 4)
+        assert ctx.element(ctx.ring.from_int(5)) == ctx.element(5) == 5
+        assert repr(ctx.element(5)) == "U([5, 0]; p=3,m=2,N=4)"
+
+    def test_equal_contexts_mix(self):
+        # contexts with equal (p, m, N) share the cached ring
+        a, b = WittContext(3, 2, 4), WittContext(3, 2, 4)
+        x, y = a.from_coordinates([1, a.field.generator()]), b.teichmuller(2)
+        assert x + y == y + x and x * y == b.element(x) * y
+        assert 3 - x == b.element(3) - x
+
+    @pytest.mark.parametrize("other", [(2, 2, 4), (3, 1, 4), (3, 2, 3)])
+    def test_other_parameters_do_not_mix(self, other):
+        x, y = WittContext(3, 2, 4).one(), WittContext(*other).one()
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: WittContext(3, 2, 4).element(y)):
+            with pytest.raises(InputError, match="^context mismatch$"):
+                op()
 
 
 @pytest.mark.parametrize(
