@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from ._arith import base_p_digits, poly_mulmod, power, require_prime
 from .errors import InputError, PrecisionError
-from .unramified import FFElement, UElement, finite_field, parse_ff, render_ff, unramified_ring
+from .unramified import FFElement, UElement, finite_field, parse_ff, render_ff
 
 __all__ = [
     "CartierContext",
@@ -153,7 +153,7 @@ class CartierElement:
         if not isinstance(w, UElement):
             raise InputError("action target must be a WittElement")
         ring = w.ring
-        if (ring.p, ring.m) != (self.context.p, self.context.m):
+        if ring.field is not self.context.field:
             raise InputError("field mismatch between Cartier element and Witt vector")
         acc = ring.zero()
         for (a, b), c in self.terms.items():
@@ -204,10 +204,10 @@ class CartierElement:
 
 
 def _working_ring(ctx, N):
-    """The lift ring W_N(F_{p^m}) that a normalization works in."""
+    """The lift ring W_N(F_{p^m}) over the context's field that a normalization works in."""
     if N > MAX_WORKING_PRECISION:
         raise InputError("Cartier working precision %d exceeds the cap of %d" % (N, MAX_WORKING_PRECISION))
-    return unramified_ring(ctx.p, ctx.m, N)
+    return ctx.field.lift(N)
 
 
 def _from_int(ctx, k):

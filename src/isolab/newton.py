@@ -294,21 +294,21 @@ def np_precedes(a, b, strict=False):
     return cmp in (Comparison.A_ABOVE_B, Comparison.EQUAL)
 
 
+def _diamond_columns(np, last):
+    """The columns x = 1..last of the diamond region, as ranges of y: from
+    ceil(ys[x]/L) = -(-ys[x] // L) up to min(d, x) - 1, empty when none."""
+    L, ys = np.heights()
+    return [range(-(-ys[x] // L), min(np.d, x)) for x in range(1, last + 1)]
+
+
 def np_diamond(np):
     """Lattice points (x,y) with y < d, y < x, lying on or above the polygon."""
-    L, ys = np.heights()
-    pts = set()
-    for x in range(1, np.h + 1):
-        for y in range(-(-ys[x] // L), min(np.d, x)):
-            pts.add((x, y))
-    return pts
+    return {(x, y) for x, col in enumerate(_diamond_columns(np, np.h), 1) for y in col}
 
 
 def _diamond_size(np, last):
-    """How many points of the diamond region lie at x <= last: at each x,
-    the y from ceil(ys[x]/L) = -(-ys[x] // L) up to min(d, x) - 1."""
-    L, ys = np.heights()
-    return sum(max(0, min(np.d, x) + -ys[x] // L) for x in range(1, last + 1))
+    """How many points of the diamond region lie at x <= last."""
+    return sum(map(len, _diamond_columns(np, last)))
 
 
 def np_dim(np):
@@ -327,8 +327,7 @@ def _check_triangle(np):
 def np_triangle(np):
     """Like the diamond region but clipped to x <= g for symmetric polygons."""
     _check_triangle(np)
-    g = np.d
-    return {(x, y) for (x, y) in np_diamond(np) if x <= g}
+    return {(x, y) for x, col in enumerate(_diamond_columns(np, np.d), 1) for y in col}
 
 
 def np_sdim(np):

@@ -211,13 +211,21 @@ class FiniteField(_Ring):
         if m > MAX_FIELD_BITS or (p**m).bit_length() > MAX_FIELD_BITS:  # p^m has over m bits
             raise InputError("field size %d^%d exceeds the cap of %d bits" % (p, m, MAX_FIELD_BITS))
         super().__init__(p, m, 1, default_modulus(p, m))
-        self._frobenius = self._sigma  # sigma's table under the field's name for it
+        self._lifts = {}
 
     @cached_property
     def phi(self):
         """euler_phi(p^m - 1), which scales the guard digits of a carrying
         Cartier diagonal; computed the first time it is read."""
         return euler_phi(self.p**self.m - 1)
+
+    def lift(self, N):
+        """W_N(F_{p^m}) over this field: built the first time it is asked
+        for and kept on the field, so it goes when the field goes."""
+        ring = self._lifts.get(N)
+        if ring is None:
+            ring = self._lifts[N] = UnramifiedRing(self, N)
+        return ring
 
     def __call__(self, coeffs):
         if isinstance(coeffs, int):
@@ -374,11 +382,12 @@ class UnramifiedRing(_Ring):
 
     _element = UElement
 
-    def __init__(self, p, m, N):
+    def __init__(self, field, N):
         if N < 1:
             raise InputError("precision N must be >= 1")
-        self.field = finite_field(p, m)
-        super().__init__(p, m, N, self.field.modulus)
+        self.field = field
+        p, m = field.p, field.m
+        super().__init__(p, m, N, field.modulus)
         self._teichmuller = {}
         f = self.modulus
         df = poly_deriv(f)
@@ -470,17 +479,6 @@ class UnramifiedRing(_Ring):
         return "UnramifiedRing(p=%d, m=%d, N=%d)" % (self.p, self.m, self.N)
 
 
-@lru_cache(maxsize=None)
-def _lift_ring(field, N):
-    return UnramifiedRing(field.p, field.m, N)
-
-
 def unramified_ring(p, m, N):
-    """W_N(F_{p^m}) over the field that `finite_field(p, m)` returns now:
-    rings are cached per field object, so clearing the field cache alone
-    cannot leave a ring on a dropped field."""
-    return _lift_ring(finite_field(p, m), N)
-
-
-unramified_ring.cache_clear = _lift_ring.cache_clear
-unramified_ring.cache_info = _lift_ring.cache_info
+    """W_N(F_{p^m}) over the field that `finite_field(p, m)` returns now."""
+    return finite_field(p, m).lift(N)

@@ -14,7 +14,7 @@ from operator import mul
 
 from ._arith import require_prime
 from .errors import InputError
-from .unramified import UElement, unramified_ring
+from .unramified import UElement, finite_field
 
 __all__ = [
     "WittContext",
@@ -102,9 +102,9 @@ class WittContext:
     Witt vectors are the ring's elements."""
 
     def __init__(self, p, m=1, N=2):
-        self.ring = unramified_ring(p, m, N)
+        self.field = finite_field(p, m)
+        self.ring = self.field.lift(N)
         self.p, self.m, self.N = p, m, N
-        self.field = self.ring.field
 
     def element(self, value):
         return self.ring.coerce(value if isinstance(value, UElement) else int(value))

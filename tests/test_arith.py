@@ -40,7 +40,7 @@ from isolab._arith import (
 )
 from isolab.cartier import CartierContext
 from isolab.errors import InputError
-from isolab.unramified import UElement, UnramifiedRing, default_modulus, finite_field, unramified_ring
+from isolab.unramified import FiniteField, UElement, UnramifiedRing, default_modulus, finite_field, unramified_ring
 from element_oracles import teichmuller_digits
 from qpoly import factor_degrees_by_powmod, q_divmod
 
@@ -365,12 +365,17 @@ class TestLiftAndFrobeniusTables:
         ring = unramified_ring(2, 3, 4)
         ring.teichmuller(ring.field.generator())
         ring.field.generator().frobenius()
-        assert ring._teichmuller and ring.field._frobenius
-        unramified_ring.cache_clear()
+        assert ring._teichmuller and ring.field._sigma
         finite_field.cache_clear()
         rebuilt = unramified_ring(2, 3, 4)
         assert rebuilt is not ring and rebuilt.field is not ring.field
-        assert rebuilt._teichmuller == {} and rebuilt.field._frobenius == {}
+        assert rebuilt._teichmuller == {} and rebuilt.field._sigma == {}
+        assert rebuilt.field._lifts == {4: rebuilt} and ring.field._lifts[4] is ring
+
+    def test_a_field_owns_its_lift_rings(self):
+        F = FiniteField(3, 2)
+        assert F is not finite_field(3, 2) and F.lift(4).field is F
+        assert F.lift(4) is F.lift(4) and list(F._lifts) == [4]
 
 
 def _horner(ring, coeffs, point):
@@ -414,7 +419,7 @@ class TestRingBuild:
 
     @staticmethod
     def check(p, m, N):
-        ring = UnramifiedRing(p, m, N)
+        ring = UnramifiedRing(finite_field(p, m), N)
         r = _horner_newton_root(ring)
         assert _horner(ring, ring.modulus, r).is_zero()
         cols = [ring.one()]
@@ -465,11 +470,10 @@ class TestSigmaMatrices:
 
     def test_a_new_ring_holds_only_the_sigma_matrix(self):
         for p, m in SMALL_FIELDS:
-            assert list(UnramifiedRing(p, m, 3)._sigma) == [1 % m], (p, m)
+            assert list(UnramifiedRing(finite_field(p, m), 3)._sigma) == [1 % m], (p, m)
         ring = unramified_ring(2, 3, 4)
         ring.sigma(ring.from_coeffs([1, 1]), -1)
         assert sorted(ring._sigma) == [1, 2]
-        unramified_ring.cache_clear()
         finite_field.cache_clear()
         rebuilt = unramified_ring(2, 3, 4)
         assert rebuilt is not ring and list(rebuilt._sigma) == [1]

@@ -189,13 +189,13 @@ class TestCarryFreeShortcut:
     def test_carry_free_normalization_builds_no_ring(self):
         # over F_{31^3} the lift ring of a single monomial at V-cap 2 would
         # have precision 7920 * 3 + 4; a monomial needs none
+        finite_field.cache_clear()
         ctx = CartierContext(31, 3, vcap=2)
         g = ctx.field.generator()
-        misses = unramified_ring.cache_info().misses
         z = ctx.monomial(1, 0, g + 1) * ctx.monomial(0, 1, 3)
         assert z.terms == {(1, 1): (g + 1) * 3} and not z.truncated
         assert ctx.F().terms == {(0, 1): ctx.field(1)}
-        assert unramified_ring.cache_info().misses == misses
+        assert ctx.field._lifts == {}
 
 
 class TestRelations:
@@ -317,10 +317,10 @@ class TestNormalization:
             CartierContext(2, 1, vcap=0)
 
     def test_context_builds_no_ring(self):
-        unramified_ring.cache_clear()
+        finite_field.cache_clear()
         ctx = CartierContext(3, 2, vcap=4)
         assert ctx.field is finite_field(3, 2)
-        assert unramified_ring.cache_info().currsize == 0
+        assert ctx.field._lifts == {}
         for p, m, message in ((4, 1, "p = 4 is not prime"), (2, 0, "field degree m must be >= 1")):
             with pytest.raises(InputError, match=message):
                 CartierContext(p, m)
@@ -338,6 +338,22 @@ class TestNormalization:
             assert unramified_ring(3, 2, 4).field is ctx.field is finite_field(3, 2)
             finite_field.cache_clear()
         assert results == ["Cartier(<2*g> + V <2*g> F)"] * 2
+
+    def test_context_outlives_the_field_cache(self):
+        # its working rings once came from the cache, over the field cached
+        # now, so a context built before a clear raised "element from a
+        # different field" on its next carrying diagonal
+        ctx = CartierContext(3, 2, vcap=3)
+        g = ctx.field.generator()
+        finite_field.cache_clear()
+        assert repr(cartier_normalize(ctx, [(0, 0, g), (0, 0, g)])) == "Cartier(<2*g> + V <2*g> F)"
+
+    def test_arithmetic_outlives_the_field_cache(self):
+        ctx = CartierContext(3, 2, vcap=3)
+        x = ctx.monomial(0, 0, ctx.field.generator())
+        want = (repr(x + x), repr(-x))
+        finite_field.cache_clear()
+        assert (repr(x + x), repr(-x)) == want == ("Cartier(<2*g> + V <2*g> F)", "Cartier(<2*g>)")
 
 
 class TestAction:
@@ -428,6 +444,14 @@ class TestAction:
     def test_action_refuses_another_field(self, p, m):
         with pytest.raises(InputError, match="^field mismatch between Cartier element and Witt vector$"):
             CartierContext(3, 2).one().act(WittContext(p, m, 3).one())
+
+    def test_action_refuses_the_same_parameters_over_another_field(self):
+        # equal (p, m) once passed the check and failed inside `teichmuller`
+        # with "element from a different field"
+        w = WittContext(3, 2, 3).one()
+        finite_field.cache_clear()
+        with pytest.raises(InputError, match="^field mismatch between Cartier element and Witt vector$"):
+            CartierContext(3, 2).one().act(w)
 
 
 def _artin_hasse_convolution(p, degree):

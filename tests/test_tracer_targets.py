@@ -10,6 +10,7 @@ function object: the tracer patches by identity, so a function that two
 names share is wrapped twice and counted under both."""
 
 import importlib
+import pkgutil
 import sys
 import types
 from collections import Counter
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import isolab
 from isolab import poset, unramified
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -88,7 +90,6 @@ def test_rings_built_counts_lift_rings_only(monkeypatch):
     unramified.FiniteField(3, 2)
     unramified.finite_field(2, 5)
     assert not calls
-    unramified.unramified_ring.cache_clear()
     unramified.finite_field.cache_clear()
     unramified.unramified_ring(2, 3, 4)  # builds F_8 too
     assert calls == Counter({"unramified.UnramifiedRing": 1})
@@ -113,6 +114,23 @@ def test_cleared_caches_leave_no_ring_warm(monkeypatch):
     ring = unramified.unramified_ring(2, 3, 4)
     assert calls == Counter({"unramified.UnramifiedRing": 1})
     assert ring is not warm and ring.field is unramified.finite_field(2, 3) is not warm.field
+
+
+def test_module_caches_are_the_field_and_edge_caches():
+    # the caches cli-mix clears before each op, collected as `CliMix.before_op`
+    # collects them, from every isolab module: lift rings live on their
+    # field, so a new module-level cache has to be added here on purpose
+    for info in pkgutil.iter_modules(isolab.__path__, "isolab."):
+        if info.name != "isolab.__main__":  # importing it runs the CLI
+            importlib.import_module(info.name)
+    caches = {
+        id(value): "%s.%s" % (value.__module__.removeprefix("isolab."), value.__qualname__)
+        for name, module in list(sys.modules.items())
+        if name.startswith("isolab.") and module is not None
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_clear", None))
+    }
+    assert sorted(caches.values()) == ["poset._edges", "unramified.finite_field"]
 
 
 _ISO, _ORD = poset.isoclinic_polygon(6, 3), poset.ordinary_polygon(6, 3)
