@@ -52,11 +52,10 @@ from .newton import (
     render_pairs,
 )
 from .poset import (
-    NPPoset,
     check_endpoints,
     dot_export,
+    interval_chain,
     isoclinic_polygon,
-    longest_chain,
     ordinary_polygon,
     poset_build,
     poset_to_json,
@@ -430,9 +429,7 @@ def _emit_chain(args, chain):
 
 
 def _poset_chain(args):
-    frm, to = _poset_endpoints(args)
-    poset = NPPoset(args.h, args.d, args.symmetric, interval=(frm, to))
-    _emit_chain(args, longest_chain(poset, frm, to))
+    _emit_chain(args, interval_chain(args.h, args.d, *_poset_endpoints(args), symmetric=args.symmetric))
 
 
 def _poset_witness(args):

@@ -12,15 +12,16 @@ each element's strict up-set is a Python-int bitset, built per abscissa
 from one mask per height and a prefix OR; covers are the transitive
 reduction (Aho, Garey and Ullman, SIAM J. Comput. 1972).  The poset is
 ranked (checked, not assumed) and the rank offsets reproduce the
-lattice-point dimension formulas.  Chains and witnesses are built on the
-interval between their ends alone: a specialization runs along any
-saturated chain of that interval (Oort, Ann. of Math. 152, 2000).
+lattice-point dimension formulas.  Chains and witnesses build no poset:
+they enumerate the interval between their ends and walk its height
+columns, since a specialization runs along any saturated chain of that
+interval (Oort, Ann. of Math. 152, 2000).
 """
 
 from bisect import bisect_left, bisect_right
 from functools import cache
 from math import lcm
-from operator import le
+from operator import ge, le
 
 from .errors import InputError
 from .newton import (
@@ -39,17 +40,20 @@ __all__ = [
     "isoclinic_polygon",
     "ordinary_polygon",
     "longest_chain",
+    "interval_chain",
     "specialization_witness",
     "dot_export",
 ]
 
 # The number of polygons grows exponentially with h, about doubling with
 # each step of 2, and d = h/2 has the most.  On a 2-vCPU Xeon, in a fresh
-# process, `poset build`, `dot`, `chain --from iso --to ord` and `witness`
-# at (h, h/2) each take 0.14-0.24 s and 19-21 MiB at h = 18 (1,882
-# elements), 0.22-0.40 s and 24-28 MiB at 20, 0.43-0.69 s and 37-47 MiB at
-# 22 (8,179 elements), 0.55-1.1 s and 50-66 MiB at 23, and 1.1-1.8 s and
-# 77-93 MiB at 24 (16,636 elements); three runs each.
+# process, `poset build` and `dot` at (h, h/2) each take 0.14-0.24 s and
+# 19-21 MiB at h = 18 (1,882 elements), 0.22-0.40 s and 24-28 MiB at 20,
+# 0.43-0.69 s and 37-47 MiB at 22 (8,179 elements), 0.55-1.1 s and
+# 50-66 MiB at 23, and 1.1-1.8 s and 77-93 MiB at 24 (16,636 elements);
+# three runs each.  `chain` and `witness` from iso to ord build no poset:
+# 0.12-0.16 s and 18 MiB at 18, 0.13-0.16 s and 20 MiB at 20, 0.17-0.18 s
+# and 24 MiB at 22; median of five runs.
 MAX_POSET_HEIGHT = 22
 
 
@@ -189,24 +193,12 @@ _INCOMPARABLE = "endpoints are incomparable (or given in the wrong order)"
 
 class NPPoset:
     """Poset of all polygons with endpoints (h,d); optionally the
-    symmetric sub-poset.  With `interval` = (frm, to), two elements with
-    frm preceding or equal to to, only the interval [frm, to] of that
-    poset, which is convex: its covers are the poset's covers between its
-    elements.  `covers[i]` lists, increasing, the indices covering
-    element i."""
+    symmetric sub-poset.  `covers[i]` lists, increasing, the indices
+    covering element i."""
 
-    def __init__(self, h, d, symmetric=False, interval=None):
+    def __init__(self, h, d, symmetric=False):
         self.h, self.d, self.symmetric = h, d, symmetric
-        band = None
-        if interval is not None:
-            for z in interval:
-                if (z.h, z.d) != (h, d) or symmetric and not z.is_symmetric():
-                    raise _not_in_poset(z)
-            if not np_precedes(*interval):
-                raise InputError(_INCOMPARABLE)
-            # frm lies on or above every element of [frm, to], to on or below
-            band = interval[::-1]
-        self.elements = enumerate_polygons(h, d, symmetric, band)
+        self.elements = enumerate_polygons(h, d, symmetric)
         self._index = {z: i for i, z in enumerate(self.elements)}
         self._up = up = _up_sets(self.elements)
         # j covers i when nothing above i lies below j.  A polygon lying
@@ -255,13 +247,12 @@ class NPPoset:
         return i
 
     def bottom(self):
-        """The unique minimum: the isoclinic polygon, or the interval's
-        lower end; it lies highest, so its slope list comes last."""
+        """The unique minimum, the isoclinic polygon: it lies highest, so
+        its slope list comes last."""
         return self.elements[-1]
 
     def top(self):
-        """The unique maximum: the ordinary polygon, or the interval's
-        upper end."""
+        """The unique maximum, the ordinary polygon."""
         return self.elements[0]
 
 
@@ -278,15 +269,35 @@ def longest_chain(poset, frm, to):
     if not poset.less(i, j):
         raise InputError(_INCOMPARABLE)
     # a walk down from `to`: each step takes the lower cover inside [frm, to]
-    # with the least index.  A lower cover lies higher, so its index is
-    # larger, and frm, lying highest, has the largest index i.  In a ranked
-    # poset this is the chain a longest-path relaxation in (rank, index)
-    # order keeps.
+    # with the least index.  A polygon lying higher has the larger index, so
+    # the least index m > k below k and inside is a cover of k (an element
+    # between them would have a smaller index), and frm, lying highest, has
+    # the largest index i.  In a ranked poset this is the chain a
+    # longest-path relaxation in (rank, index) order keeps.
     chain = [j]
     while chain[-1] != i:
         k = chain[-1]
-        chain.append(next(m for m in range(k + 1, i + 1) if k in poset.covers[m] and (m == i or poset.less(i, m))))
+        chain.append(next(m for m in range(k + 1, i + 1) if poset.less(m, k) and (m == i or poset.less(i, m))))
     return [poset.elements[k] for k in reversed(chain)]
+
+
+def interval_chain(h, d, frm, to, symmetric=False):
+    """`longest_chain(NPPoset(h, d, symmetric), frm, to)` with no poset
+    built: the ends are checked first, then the interval [frm, to] alone is
+    enumerated, `to` first and `frm` last, and walked as `longest_chain`
+    walks it, each step testing height columns in place of covers."""
+    for z in (frm, to):
+        if (z.h, z.d) != (h, d) or symmetric and not z.is_symmetric():
+            raise _not_in_poset(z)
+    if not np_precedes(frm, to):
+        raise InputError(_INCOMPARABLE)
+    interval = enumerate_polygons(h, d, symmetric, band=(to, frm))
+    columns = [z.heights()[1] for z in interval]
+    chain = [0]
+    while chain[-1] != len(interval) - 1:
+        k = chain[-1]
+        chain.append(next(m for m in range(k + 1, len(interval)) if all(map(ge, columns[m], columns[k]))))
+    return [interval[k] for k in reversed(chain)]
 
 
 def specialization_witness(beta, gamma, symmetric=False):
@@ -294,7 +305,7 @@ def specialization_witness(beta, gamma, symmetric=False):
     their common endpoints (with `symmetric`, the symmetric poset): the
     combinatorial shadow of specializing a generic fiber of polygon gamma
     to a special fiber of polygon beta.  Only the interval [beta, gamma]
-    is built; a saturated chain between its ends runs inside it.
+    is walked; a saturated chain between its ends runs inside it.
 
     Requires beta < gamma (beta on-or-above gamma).
     """
@@ -302,8 +313,7 @@ def specialization_witness(beta, gamma, symmetric=False):
         raise InputError("polygons must share endpoints")
     if not np_precedes(beta, gamma):
         raise InputError("need beta preceding gamma (beta on-or-above gamma)")
-    chain = longest_chain(NPPoset(beta.h, beta.d, symmetric, interval=(beta, gamma)), beta, gamma)
-    return list(reversed(chain))
+    return interval_chain(beta.h, beta.d, beta, gamma, symmetric)[::-1]
 
 
 def dot_export(poset):

@@ -127,14 +127,14 @@ class HondaTateData(namedtuple("HondaTateData", "case slopes e0 e d g albert loc
 # -- irreducibility over Q (monic integer polynomials, degree <= 16) --------
 
 
-def _rational_roots(coeffs):
+def _rational_roots(coeffs, chain=None):
     """The distinct rational roots of a monic integer f, ascending; each
     is an integer in (-B, B) for the Cauchy bound B = 1 + max |c_i|
     (i < deg f).  (-B, B] is bisected on integer points over the one Sturm
-    chain of f's squarefree part: a half over which the sign variations
-    do not drop holds no root, and a unit interval (r - 1, r] that holds
-    one is kept when f(r) = 0.  No integer is factored."""
-    chain = _squarefree_chain(coeffs)
+    `chain` of f's squarefree part (built unless given): a half over which
+    the sign variations do not drop holds no root, and a unit interval
+    (r - 1, r] that holds one is kept when f(r) = 0.  No integer is factored."""
+    chain = chain or _squarefree_chain(coeffs)
     bound = 1 + max(abs(c) for c in coeffs[:-1])
     roots = []
     todo = [(-bound, _sign_variations(chain, -bound, -1), bound, _sign_variations(chain, bound, 1))]
@@ -152,8 +152,10 @@ def _rational_roots(coeffs):
     return roots
 
 
-def is_irreducible_q(coeffs_ascending):
-    """Irreducibility over Q of a monic integer polynomial f (degree <= 16).
+def is_irreducible_q(coeffs_ascending, chain=None):
+    """Irreducibility over Q of a monic integer polynomial f (degree <= 16);
+    `chain`, when the caller has built it, is the Sturm chain of f's
+    squarefree part (`_rational_roots`).
 
     A quadratic by its discriminant.  From degree 3 on, each step runs only
     when the ones before leave the answer open:
@@ -180,10 +182,10 @@ def is_irreducible_q(coeffs_ascending):
     5. otherwise a bounded Kronecker search for a factor of each degree
        the sieve left open decides f.
     """
-    return _irreducible([int(c) for c in coeffs_ascending])[0]
+    return _irreducible([int(c) for c in coeffs_ascending], chain)[0]
 
 
-def _irreducible(coeffs):
+def _irreducible(coeffs, chain=None):
     """(`is_irreducible_q` of an int list f, bounded), where bounded is the
     root bound of h that step 1 tested, in its non-strict form (see
     `_roots_all_real_and_bounded`), and None when the step did not test it:
@@ -207,7 +209,7 @@ def _irreducible(coeffs):
             return verdict, bounded
         plausible = {e // 2}
     else:
-        if _rational_roots(coeffs):
+        if _rational_roots(coeffs, chain):
             return False, None
         if e == 3:
             return True, None
@@ -259,11 +261,14 @@ def _real_weil_step(coeffs):
     if not _functional_equation(coeffs, q):
         return None
     h = _real_weil_polynomial(coeffs, q)
-    if not is_irreducible_q(h):
+    # one Sturm chain of h serves its rational roots and its real roots; a
+    # quadratic h is tested by its discriminant, so the root bound builds it
+    chain = _squarefree_chain(h) if len(h) > 3 else None
+    if not is_irreducible_q(h, chain):
         return False, None
     # roots strictly inside: a root beta = +-2 sqrt(q) makes T^2 - beta T + q
     # a square over Q(beta)
-    bounded, strictly = _roots_all_real_and_bounded(h, q)
+    bounded, strictly = _roots_all_real_and_bounded(h, q, chain)
     return (True if strictly else None), bounded
 
 
@@ -402,15 +407,17 @@ def _real_weil_polynomial(f, q):
     return h
 
 
-def _roots_all_real_and_bounded(h, q):
-    """(bounded, strictly) for an irreducible h: bounded when all roots of
-    h are real and every root beta satisfies beta^2 <= 4q, strictly when
+def _roots_all_real_and_bounded(h, q, chain=None):
+    """(bounded, strictly) for a monic irreducible h: bounded when all roots
+    of h are real and every root beta satisfies beta^2 <= 4q, strictly when
     moreover beta^2 < 4q for every root.  One pass of Sturm chains serves
-    both: the chain of h and, when its roots are all real, that of C."""
+    both: the chain of h (`chain`, when the caller has built it) and, when
+    its roots are all real, that of C."""
     # h is irreducible (see `_real_weil_step`), so squarefree: its roots
     # are all real when it has deg h distinct real roots
     h = poly_trim(h)
-    if count_real_roots(h) != len(h) - 1:
+    chain = chain or _squarefree_chain(h)
+    if _sign_variations(chain, None, -1) - _sign_variations(chain, None, 1) != len(h) - 1:
         return False, False
     # polynomial with roots beta_i^2: C(t) = A(t)^2 - t B(t)^2 where
     # h(x) = A(x^2) + x B(x^2)

@@ -227,6 +227,13 @@ class TestSubcommands:
         out, err = capsys.readouterr()
         assert out == "" and "(2,1)+(0,1) not in this poset" in err
 
+    def test_poset_chain_checks_both_ends_against_the_poset(self, capsys):
+        # the ends are equal, so comparable, but neither lies in the poset of (5, 2)
+        request = ["--h", "5", "--d", "2", "--from", "(1,1)", "--to", "(1,1)"]
+        assert main(["poset", "chain"] + request) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: polygon (1,1) not in this poset\n"
+
 
 class TestExitCodes:
     def test_usage_error_is_64(self):

@@ -12,7 +12,7 @@ from math import lcm
 
 import pytest
 
-from isolab import poset
+from isolab import cli, poset
 from isolab.errors import InputError
 from isolab.newton import (
     Comparison,
@@ -31,6 +31,7 @@ from isolab.poset import (
     check_endpoints,
     dot_export,
     enumerate_polygons,
+    interval_chain,
     isoclinic_polygon,
     longest_chain,
     ordinary_polygon,
@@ -416,16 +417,30 @@ class TestHeightColumns:
     """The enumerator's height columns against the walk that reads each
     polygon's own heights, and the mask up-sets against sort and group."""
 
-    @staticmethod
-    def assert_matches_oracle(monkeypatch, h, d, symmetric=False, interval=None):
-        P = NPPoset(h, d, symmetric, interval=interval)
+    @classmethod
+    def assert_matches_oracle(cls, monkeypatch, h, d, symmetric=False):
+        P = NPPoset(h, d, symmetric)
         with monkeypatch.context() as patched:
             patched.setattr(poset, "enumerate_polygons", oracle_enumerate_polygons)
             patched.setattr(poset, "_up_sets", oracle_up_sets)
-            Q = NPPoset(h, d, symmetric, interval=interval)
+            Q = NPPoset(h, d, symmetric)
         assert P.elements == Q.elements
         assert (P._up, P.covers, P.ranks) == (Q._up, Q.covers, Q.ranks)
-        for z in P.elements:
+        cls.assert_columns_exact(h, P.elements)
+        return P
+
+    @classmethod
+    def assert_interval_matches_oracle(cls, h, d, symmetric, a, b, within):
+        # the interval [a, b] that chains walk: the banded enumeration against
+        # `within`, the full poset's elements between a and b, and the oracle
+        elements = enumerate_polygons(h, d, symmetric, band=(b, a))
+        assert elements == within == oracle_enumerate_polygons(h, d, symmetric, band=(b, a))
+        assert (elements[-1], elements[0]) == (a, b)
+        cls.assert_columns_exact(h, elements)
+
+    @staticmethod
+    def assert_columns_exact(h, elements):
+        for z in elements:
             L, ys = z.heights()
             assert L == lcm(*range(1, h + 1)) and all(type(y) is int for y in ys)
             assert ys == exact_heights(z.vertices)
@@ -433,7 +448,6 @@ class TestHeightColumns:
             assert type(z.vertices) is tuple
             assert all(type(v) is tuple and len(v) == 2 and all(type(c) is int for c in v) for v in z.vertices)
             assert NewtonPolygon(z.vertices) == z
-        return P
 
     @pytest.mark.parametrize("h", range(1, 13))
     def test_full_posets(self, monkeypatch, h):
@@ -456,8 +470,10 @@ class TestHeightColumns:
         poset._edges.cache_clear()
         self.assert_matches_oracle(monkeypatch, 7, 4)
         full = oracle_enumerate_polygons(8, 4)
+        up = oracle_up_sets(full)  # fills no move table
         for i, j in [(10, 8), (10, 9), (11, 5), (14, 8)]:
-            self.assert_matches_oracle(monkeypatch, 8, 4, interval=(full[i], full[j]))
+            within = [z for k, z in enumerate(full) if k in (i, j) or up[i] >> k & 1 and up[k] >> j & 1]
+            self.assert_interval_matches_oracle(8, 4, False, full[i], full[j], within)
         table = poset._edges(8, 4)[2]
         banded = len(table)
         self.assert_matches_oracle(monkeypatch, 8, 4)
@@ -469,12 +485,14 @@ class TestHeightColumns:
         "h, d, symmetric",
         [(h, d, False) for h in range(1, 9) for d in range(h + 1)] + [(2 * g, g, True) for g in range(1, 5)],
     )
-    def test_every_interval(self, monkeypatch, h, d, symmetric):
+    def test_every_interval(self, h, d, symmetric):
         P = NPPoset(h, d, symmetric)
+        n = len(P.elements)
         for i, a in enumerate(P.elements):
             for j, b in enumerate(P.elements):
                 if i == j or P.less(i, j):
-                    self.assert_matches_oracle(monkeypatch, h, d, symmetric, interval=(a, b))
+                    within = [P.elements[k] for k in range(n) if k in (i, j) or P.less(i, k) and P.less(k, j)]
+                    self.assert_interval_matches_oracle(h, d, symmetric, a, b, within)
 
 
 class TestChains:
@@ -513,8 +531,8 @@ class TestIntervals:
         [(h, d, False) for h in range(1, 9) for d in range(h + 1)] + [(2 * g, g, True) for g in range(1, 7)],
     )
     def test_interval_matches_full_poset(self, h, d, symmetric):
-        # every comparable pair: the interval's elements, its chain and the
-        # witness equal what the full poset gives
+        # every comparable pair: the interval's elements, the walk over its
+        # height columns and the witness equal what the full poset gives
         P = poset_build(h, d, symmetric)
         full = P if not symmetric else poset_build(h, d)
         n = len(P.elements)
@@ -522,11 +540,11 @@ class TestIntervals:
             for j, b in enumerate(P.elements):
                 if i != j and not P.less(i, j):
                     continue
-                Q = NPPoset(h, d, symmetric, interval=(a, b))
-                assert Q.elements == [P.elements[k] for k in range(n) if k in (i, j) or P.less(i, k) and P.less(k, j)]
-                assert (Q.bottom(), Q.top()) == (a, b)
+                within = [P.elements[k] for k in range(n) if k in (i, j) or P.less(i, k) and P.less(k, j)]
+                assert enumerate_polygons(h, d, symmetric, band=(b, a)) == within
                 chain = oracle_longest_chain(P, i, j)
-                assert longest_chain(Q, a, b) == longest_chain(P, a, b) == chain
+                assert interval_chain(h, d, a, b, symmetric) == longest_chain(P, a, b) == chain
+                assert specialization_witness(a, b, symmetric) == chain[::-1]
                 witness = oracle_longest_chain(full, full.index_of(a), full.index_of(b))[::-1]
                 assert specialization_witness(a, b) == witness
 
@@ -536,6 +554,9 @@ class TestIntervals:
             (4, 2, False, ordinary_polygon(4, 2), isoclinic_polygon(4, 2), "endpoints are incomparable"),
             (6, 3, True, np_from_pairs([(1, 0), (1, 0), (1, 2), (0, 1)]), ordinary_polygon(6, 3), "polygon 2*(1,0)+(1,2)+(0,1) not in"),
             (4, 2, False, isoclinic_polygon(4, 2), np_from_pairs([(1, 1)]), "polygon (1,1) not in"),
+            # both ends lie outside the poset: checked against (h, d), not
+            # against each other
+            (5, 2, False, np_from_pairs([(1, 1)]), np_from_pairs([(1, 1)]), "polygon (1,1) not in"),
         ],
     )
     def test_interval_ends_checked_before_building(self, monkeypatch, h, d, symmetric, frm, to, message):
@@ -544,7 +565,47 @@ class TestIntervals:
 
         monkeypatch.setattr(poset, "enumerate_polygons", refuse)
         with pytest.raises(InputError, match=re.escape(message)):
-            NPPoset(h, d, symmetric, interval=(frm, to))
+            interval_chain(h, d, frm, to, symmetric)
+
+    @pytest.mark.parametrize("h, d", [(8, 4), (22, 11)])
+    def test_chains_build_no_poset(self, monkeypatch, capsys, h, d):
+        # a chain or witness enumerates its interval once, through the module
+        # attribute, and builds no up-set, cover or rank
+        def refuse(*args, **kwargs):
+            raise AssertionError("a poset was built")
+
+        calls = []
+        original = poset.enumerate_polygons
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(poset, "_up_sets", refuse)
+        monkeypatch.setattr(poset, "NPPoset", refuse)
+        monkeypatch.setattr(poset, "enumerate_polygons", counting)
+        iso, ordn = isoclinic_polygon(h, d), ordinary_polygon(h, d)
+        witness = specialization_witness(iso, ordn)
+        assert len(calls) == 1 and (witness[0], witness[-1]) == (ordn, iso)
+        calls.clear()
+        assert cli.main(["poset", "chain", "--h", str(h), "--d", str(d), "--from", "iso", "--to", "ord"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [render_pairs(z.pairs()) for z in witness[::-1]]
+
+    # sha256 of stdout, taken while chains were still built as interval posets
+    CHAIN_22_11_SHA256 = {
+        ("chain", "text"): "026816346a2b3b535a5e7243b47a91a7662f765eba8f019098d6ffec955b40bf",
+        ("chain", "json"): "5b2ed6a55cf5c0fb95692472d3e8489ee4f89f92a5887083fcdf1c10e379a563",
+        ("witness", "text"): "15d007ee9580e64ba1e9434ab3ff8968f75fc55b372305793c8423df7267dc73",
+        ("witness", "json"): "401dac377c6262def988f67e3eec3ec433a3eb1615bf47b3bac8a0971123faa5",
+    }
+
+    @pytest.mark.parametrize("action, fmt", sorted(CHAIN_22_11_SHA256))
+    def test_chain_at_the_cap_pinned(self, capsys, action, fmt):
+        argv = ["--format", fmt, "poset", action, "--h", "22", "--d", "11", "--from", "iso", "--to", "ord"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.CHAIN_22_11_SHA256[action, fmt]
 
 
 class TestWitness:

@@ -138,7 +138,7 @@ POSET_BUILDS = {
     "poset_build": lambda: poset.poset_build(6, 3),
     "poset_build symmetric": lambda: poset.poset_build(6, 3, symmetric=True),
     "specialization_witness": lambda: poset.specialization_witness(_ISO, _ORD),
-    "NPPoset interval": lambda: poset.NPPoset(6, 3, interval=(_ISO, _ORD)),
+    "interval_chain": lambda: poset.interval_chain(6, 3, _ISO, _ORD),
 }
 
 

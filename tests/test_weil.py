@@ -815,10 +815,10 @@ def test_rational_roots_are_not_sought_for_q_symmetric_f(monkeypatch):
     current = [None]
     roots = weil._rational_roots
 
-    def refuse(coeffs):
+    def refuse(coeffs, *chain):
         if len(coeffs) == len(current[0]):
             raise AssertionError("rational roots of f sought")
-        return roots(coeffs)
+        return roots(coeffs, *chain)
 
     monkeypatch.setattr(weil, "_rational_roots", refuse)
     cases = [(asc, q) for (q, *_), asc in _box_quartics()] + list(_pinned_even_weil_candidates())
@@ -859,6 +859,29 @@ def test_weil_verify_builds_the_chain_of_h_once(monkeypatch):
         else:
             assert built.count(h) <= 1, (asc, p, n, verdict)
     assert reached > 500, reached
+
+
+def test_irreducible_builds_the_chain_of_a_cubic_h_once(monkeypatch):
+    # f = T^3 h(T + 3/T) for h = x^3 - 2x^2 - x + 1: h's rational roots and
+    # its real-root count read one Sturm chain of h; C, whose roots are the
+    # squares of h's, has its own
+    built = []
+    chain = weil._sturm_chain
+
+    def counting_chain(f):
+        built.append(list(f))
+        return chain(f)
+
+    monkeypatch.setattr(weil, "_sturm_chain", counting_chain)
+    f = [27, -18, 24, -11, 8, -2, 1]
+    h = _real_weil_polynomial(f, 3)
+    assert h == [1, -1, -2, 1]
+    built.clear()
+    assert weil._irreducible(f) == (True, True)
+    assert built.count(h) == 1 and len(built) == 2, built
+    built.clear()
+    assert weil_verify(list(reversed(f)), 3, 1).e == 6
+    assert built.count(h) == 1, built
 
 
 def _q_reciprocal(F, q):
