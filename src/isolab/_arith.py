@@ -1,9 +1,10 @@
 """Exact integer, polynomial and linear arithmetic shared by the whole package.
 
-Integers: deterministic primality, factorization, divisors, Euler's phi
-and p-adic valuations.  Ring and field elements: `power`, the one
-square-and-multiply, and `rank`, the one Gaussian elimination.  Integer
-matrices: `charpoly`, the characteristic polynomial mod n with no division.
+Integers: deterministic primality (one sieve read below 2^16, Miller-Rabin
+above), factorization, divisors, Euler's phi and p-adic valuations.  Ring
+and field elements: `power`, the one square-and-multiply, and `rank`, the
+one Gaussian elimination.  Integer matrices: `charpoly`, the
+characteristic polynomial mod n with no division.
 Polynomials are dense coefficient lists, lowest degree first; every
 routine that returns a polynomial returns a fresh trimmed list.  A
 modulus `p` may be a prime, with a divisor of any lead, or any modulus
@@ -15,7 +16,7 @@ The algorithms are the classical ones of von zur Gathen and Gerhard,
 *Modern Computer Algebra*, Ch. 14.
 """
 
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import InputError
 
@@ -29,9 +30,26 @@ MAX_PRIME = 3_317_044_064_679_887_385_961_981
 # integers
 
 
+def _sieve(n):
+    s = bytearray(2) + bytearray([1]) * (n - 2)
+    for i in range(2, isqrt(n - 1) + 1):
+        if s[i]:
+            s[i * i :: i] = bytes(len(range(i * i, n, i)))
+    return s
+
+
+_SIEVE = _sieve(1 << 16)  # byte n is 1 when n is prime: Eratosthenes, 64 KiB
+
+
 def is_prime(n):
-    """Trial division by the primes up to 41, then Miller-Rabin on those
-    bases: proven for n < MAX_PRIME, a strong probable-prime test above."""
+    """A sieve read for an int n < 2^16, else trial division by the primes up
+    to 41 and Miller-Rabin on those bases, proven for n < MAX_PRIME."""
+    if type(n) is int and n < 1 << 16:
+        return n >= 0 and _SIEVE[n] == 1
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n):
     if n < 2:
         return False
     for q in _SMALL_PRIMES:

@@ -53,9 +53,10 @@ def lower_convex_hull(points):
     Vertices come out sorted by x; collinear interior points are dropped.
     Coordinates may be ints or Fractions.
     """
-    pts = sorted(set(points))
-    if len(pts) <= 1:
-        return list(pts)
+    return _lower_hull(sorted(set(points)))
+
+
+def _lower_hull(pts):  # sorted points; of a repeated x the first is kept
     hull = []
     for q in pts:
         # keep only leftmost point for each x
@@ -358,7 +359,7 @@ class ValuationPolygon:
         self.points = tuple(sorted(points))
         if not self.points or self.points[0][0] != 0:
             raise InputError("valuation polygon needs the point at j=0")
-        self.vertices = tuple(lower_convex_hull(self.points))
+        self.vertices = tuple(_lower_hull(self.points))
         self.infinite_multiplicity = degree - self.vertices[-1][0]
 
     def slopes(self):
@@ -405,7 +406,7 @@ def np_of_polynomial(coefficients, p):
     h = len(coeffs) - 1
     if h < 1:
         raise InputError("degree must be at least 1")
-    points = [(j, vp(c.numerator, p) - vp(c.denominator, p)) for j, c in enumerate(coeffs) if c != 0]
+    points = [(j, vp(c, p) if isinstance(c, int) else vp(c.numerator, p) - vp(c.denominator, p)) for j, c in enumerate(coeffs) if c]
     return ValuationPolygon(h, points)
 
 

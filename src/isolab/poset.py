@@ -6,12 +6,12 @@ in slope-list order and with no `Fraction` anywhere; the order is the
 exact pointwise comparison, with the isoclinic polygon at the bottom and
 the ordinary polygon on top.  The walk steps through a move table that
 lists, per remaining width, the edges that fit, so it visits no edge it
-cannot take.  One enumeration works on one integer height
-scale, L = lcm(1..h), carried by each path as the polygon's `heights()`;
-each element's strict up-set is a Python-int bitset, built per abscissa
-from one mask per height and a prefix OR; covers are the transitive
-reduction (Aho, Garey and Ullman, SIAM J. Comput. 1972).  The poset is
-ranked (checked, not assumed) and the rank offsets reproduce the
+cannot take; a symmetric poset walks half-paths and mirrors them.  Each
+path carries its heights on one scale, L = lcm(1..h), as the polygon's
+`heights()`; each element's strict up-set is a Python-int bitset, built
+per abscissa from one mask per height and a prefix OR; covers are the
+transitive reduction (Aho, Garey and Ullman, SIAM J. Comput. 1972).  The
+poset is ranked (checked, not assumed) and the rank offsets reproduce the
 lattice-point dimension formulas.  Chains and witnesses build no poset:
 they enumerate the interval between their ends and walk its height
 columns, since a specialization runs along any saturated chain of that
@@ -113,8 +113,11 @@ def enumerate_polygons(h, d, symmetric=False, band=None):
     by construction.  The walk extends and truncates one height column ys
     at L = lcm(1..h), copied into each polygon's `heights()`; the band
     test reads it (the moves above the upper bound one step on end the
-    list, and the convex lower bound is met along an edge if at its end),
-    and so does the symmetric filter: ys[h-x] = ys[x] + L*(d-x).
+    list, and the convex lower bound is met along an edge if at its end).
+    A symmetric polygon mirrors its edges of slope below 1/2, which end at
+    x <= g = d: ys[h-u] = ys[u] + L*(d-u).  Its walk takes the moves of
+    width (2(g-x), g-x) that stop at g, closes with the last, the edge of
+    slope 1/2, and tests the band on the half and on the mirrored column.
     """
     check_endpoints(h, d, symmetric)
     L, edges, table = _edges(h, d)
@@ -124,14 +127,23 @@ def enumerate_polygons(h, d, symmetric=False, band=None):
     out = []
     path, ys = [(0, 0)], [0]
 
+    def mirror():
+        col = ys + [ys[u] + L * (d - u) for u in range(h - len(ys), -1, -1)]
+        if band is None or all(map(le, lo, col)) and all(map(le, col, hi)):
+            out.append(NewtonPolygon._from_path((*path, *((h - u, d - u + v) for u, v in reversed(path) if 2 * u < h)), L, col))
+
     def extend(x, y, start):
-        dx, dy = h - x, d - y
+        dx, dy = (h - 2 * x, d - x) if symmetric else (h - x, d - y)
+        if not dx:
+            return mirror()
         entry = table.get((dx, dy))
         if entry is None:
             entry = table[dx, dy] = _moves(edges, dx, dy)
         indices, moves = entry
         base = ys[-1]
         for rise, span, step, after in moves[bisect_left(indices, start):]:
+            if symmetric and dy < span < dx:
+                continue  # it would cross x = g
             if band is not None:
                 if base + step > hi[x + 1]:
                     break
@@ -143,7 +155,9 @@ def enumerate_polygons(h, d, symmetric=False, band=None):
                     path.append((x + span, y + rise))
                     extend(x + span, y + rise, after)
                     path.pop()
-                elif not symmetric or all(ys[h - u] == ys[u] + L * (d - u) for u in range(1, d)):
+                elif symmetric:
+                    mirror()
+                else:
                     out.append(NewtonPolygon._from_path((*path, (h, d)), L, ys[:]))
             del ys[x + 1:]
 
@@ -291,6 +305,10 @@ def interval_chain(h, d, frm, to, symmetric=False):
             raise _not_in_poset(z)
     if not np_precedes(frm, to):
         raise InputError(_INCOMPARABLE)
+    return _walk_interval(h, d, frm, to, symmetric)
+
+
+def _walk_interval(h, d, frm, to, symmetric):  # `interval_chain` on checked ends
     interval = enumerate_polygons(h, d, symmetric, band=(to, frm))
     columns = [z.heights()[1] for z in interval]
     chain = [0]
@@ -313,7 +331,10 @@ def specialization_witness(beta, gamma, symmetric=False):
         raise InputError("polygons must share endpoints")
     if not np_precedes(beta, gamma):
         raise InputError("need beta preceding gamma (beta on-or-above gamma)")
-    return interval_chain(beta.h, beta.d, beta, gamma, symmetric)[::-1]
+    for z in (beta, gamma) if symmetric else ():
+        if not z.is_symmetric():
+            raise _not_in_poset(z)
+    return _walk_interval(beta.h, beta.d, beta, gamma, symmetric)[::-1]
 
 
 def dot_export(poset):

@@ -2,6 +2,7 @@
 
 import ast
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ import pytest
 from isolab import unramified
 from isolab._arith import (
     MAX_PRIME,
+    _miller_rabin,
     base_p_digits,
     divisors,
     euler_phi,
@@ -91,7 +93,31 @@ class TestIntegers:
     # 5, each with the largest prime below it
     @pytest.mark.parametrize("n, prime", [(1369, False), (1367, True), (1373653, False), (1373639, True), (25326001, False)])
     def test_around_the_base_switches(self, n, prime):
-        assert is_prime(n) == prime
+        assert is_prime(n) == _miller_rabin(n) == prime
+
+    # the sieve read answers every int below 2^16; the Miller-Rabin path it
+    # bypasses there stays under test as its oracle
+    def test_miller_rabin_matches_the_sieve_below_2_16(self):
+        assert [n for n in range(-3, 2**16) if _miller_rabin(n)] == PRIMES_16
+        assert all(is_prime(n) == _miller_rabin(n) for n in range(-3, 2**16))
+
+    # the edge of the table, and the base-2 strong pseudoprimes below 10^4
+    @pytest.mark.parametrize(
+        "n, prime",
+        [(65521, True), (65535, False), (65536, False), (65537, True)] + [(n, False) for n in (2047, 3277, 4033, 4681, 8321)],
+    )
+    def test_both_paths_at_the_table_edge_and_on_pseudoprimes(self, n, prime):
+        assert is_prime(n) is _miller_rabin(n) is prime
+
+    def test_input_that_is_not_an_int_skips_the_table(self):
+        # as before the table: True is below 2, and 2.0 passes trial division
+        assert is_prime(True) is False and is_prime(False) is False
+        assert is_prime(2.0) is True and is_prime(4.0) is False
+
+    @pytest.mark.parametrize("p", [0, 1, -1, -7, 4, 65535, 65536, 1369, 3215031751, True])
+    def test_require_prime_refuses_with_its_message(self, p):
+        with pytest.raises(InputError, match="^p = %s is not prime$" % re.escape(repr(p))):
+            require_prime(p)
 
     def test_large_primes(self):
         assert is_prime(2**61 - 1) and is_prime(1000000007)

@@ -495,6 +495,37 @@ class TestHeightColumns:
                     self.assert_interval_matches_oracle(h, d, symmetric, a, b, within)
 
 
+class TestSymmetricHalfPaths:
+    """The symmetric walk, which mirrors half-paths, against the oracle that
+    walks whole paths and tests each for symmetry: order, vertices and
+    height columns."""
+
+    @staticmethod
+    def assert_same(got, expected):
+        assert [z.vertices for z in got] == [z.vertices for z in expected]
+        assert all(z.heights()[1] == exact_heights(z.vertices) for z in got)
+
+    @pytest.mark.parametrize("g", range(1, MAX_POSET_HEIGHT // 2 + 1))
+    def test_every_symmetric_poset(self, g):
+        poset._edges.cache_clear()
+        self.assert_same(enumerate_polygons(2 * g, g, True), oracle_enumerate_polygons(2 * g, g, True))
+        # the walk stops at x = g: it reads only the widths (2(g - x), g - x)
+        assert all(dx == 2 * dy for dx, dy in poset._edges(2 * g, g)[2])
+
+    @pytest.mark.parametrize("g, symmetric_ends", [(g, True) for g in range(1, 7)] + [(g, False) for g in range(1, 5)])
+    def test_every_band(self, g, symmetric_ends):
+        # the symmetric bands of `test_every_interval` and
+        # `test_interval_matches_full_poset`, then bands between any two
+        # comparable polygons, which the mirrored half must meet too
+        P = NPPoset(2 * g, g, symmetric_ends)
+        for i, a in enumerate(P.elements):
+            for j, b in enumerate(P.elements):
+                if i == j or P.less(i, j):
+                    band = (b, a)
+                    expected = oracle_enumerate_polygons(2 * g, g, True, band=band)
+                    self.assert_same(enumerate_polygons(2 * g, g, True, band=band), expected)
+
+
 class TestChains:
     def test_mn_minus_r(self):
         # (m,n) = (3,4): pure 3/7 to ordinary has length mn - r = 9
@@ -642,6 +673,44 @@ class TestWitness:
         assert all(z.is_symmetric() for z in chain)
         assert len(chain) - 1 == np_sdim(ordn) - np_sdim(ss) == g * (g + 1) // 2 - g * g // 4
         assert chain == longest_chain(poset_build(2 * g, g, symmetric=True), ss, ordn)[::-1]
+
+    def test_one_order_test_per_chain(self, monkeypatch):
+        calls = []
+        original = poset.np_precedes
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(poset, "np_precedes", counting)
+        for h, d, symmetric in [(6, 3, False), (6, 3, True), (7, 3, False)]:
+            iso, ordn = isoclinic_polygon(h, d), ordinary_polygon(h, d)
+            for frm, to in [(iso, ordn), (iso, iso)]:
+                calls.clear()
+                specialization_witness(frm, to, symmetric)
+                assert calls == [(frm, to)]
+                calls.clear()
+                interval_chain(h, d, frm, to, symmetric)
+                assert calls == [(frm, to)]
+
+    # a different end, then the order, then a non-symmetric end (beta first)
+    @pytest.mark.parametrize(
+        "beta, gamma, message",
+        [
+            (np_from_pairs([(2, 1)]), ordinary_polygon(4, 2), "polygons must share endpoints"),
+            (ordinary_polygon(4, 2), np_from_pairs([(2, 1), (0, 1)]), "need beta preceding gamma (beta on-or-above gamma)"),
+            (np_from_pairs([(2, 1), (0, 1)]), ordinary_polygon(4, 2), "polygon (2,1)+(0,1) not in this poset"),
+            (isoclinic_polygon(4, 2), np_from_pairs([(2, 1), (0, 1)]), "polygon (2,1)+(0,1) not in this poset"),
+            (np_from_pairs([(3, 1), (0, 1), (0, 1)]), np_from_pairs([(1, 0), (2, 1), (0, 1), (0, 1)]), "polygon (3,1)+2*(0,1) not in this poset"),
+        ],
+    )
+    def test_symmetric_witness_checks_in_order(self, monkeypatch, beta, gamma, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated before the ends were checked")
+
+        monkeypatch.setattr(poset, "enumerate_polygons", refuse)
+        with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+            specialization_witness(beta, gamma, symmetric=True)
 
     def test_symmetric_rejects_a_non_symmetric_end(self):
         beta = np_from_pairs([(2, 1), (0, 1)])

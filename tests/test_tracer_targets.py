@@ -3,11 +3,12 @@
 The tracer (perfbench/tracer.py) patches the functions it names in
 ``TRACED`` and refuses to run when one is missing, so a rename or a
 deletion in src/isolab would otherwise only show in a traced benchmark
-run.  This test loads the tracer by path and only reads it.  Each poset
-build must also call ``enumerate_polygons`` once through the module
-attribute the tracer patches, and each traced name must be its own
-function object: the tracer patches by identity, so a function that two
-names share is wrapped twice and counted under both."""
+run.  This test loads the tracer and the workloads by path and only reads
+them.  Each poset build must also call ``enumerate_polygons`` once through
+the module attribute the tracer patches, each workload target must be
+reached, and each traced name must be its own function object: the tracer
+patches by identity, so a function that two names share is wrapped twice
+and counted under both."""
 
 import importlib
 import pkgutil
@@ -21,17 +22,19 @@ import pytest
 import isolab
 from isolab import poset, unramified
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracer():
+def _load(name):
     # compiled from its source, so no bytecode cache is written next to it
-    module = types.ModuleType("perfbench_tracer")
-    exec(compile(TRACER_PATH.read_text(), str(TRACER_PATH), "exec"), module.__dict__)
+    path = PERFBENCH / (name + ".py")
+    module = types.ModuleType("perfbench_" + name)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
+workloads = _load("workloads")
 
 
 def test_tracer_names_targets():
@@ -55,22 +58,40 @@ def test_traced_names_are_distinct_objects():
 
 
 def _count_calls(monkeypatch, names):
-    """Patch `names` in the classes of their modules by identity, one name
-    after the other, as `Tracer.install` does; the calls per name."""
+    """Patch `names` by identity in the isolab package, every loaded isolab
+    module and their classes, one name after the other, as `Tracer.install`
+    does; the calls per name."""
     calls = Counter()
-    for name in names:
-        layer, func = tracer._resolve(name)
-        module = importlib.import_module("isolab." + layer)
+    funcs = [tracer._resolve(name)[1] for name in names]  # imports their modules
+    modules = [m for key, m in list(sys.modules.items()) if key.partition(".")[0] == "isolab" and m is not None]
+    holders = modules + [v for m in modules for v in vars(m).values() if isinstance(v, type)]
+    for name, func in zip(names, funcs):
 
         def counting(*args, _name=name, _func=func, **kwargs):
             calls[_name] += 1
             return _func(*args, **kwargs)
 
-        for holder in [module] + [v for v in vars(module).values() if isinstance(v, type)]:
+        for holder in holders:
             for attr, value in list(vars(holder).items()):
                 if value is func:
                     monkeypatch.setattr(holder, attr, counting)
     return calls
+
+
+def test_weil_census_reaches_its_targets(monkeypatch):
+    # one quadratic and one accepted quartic op of the workload; its traced
+    # run marks itself incorrect when a target reads no call
+    census = workloads.WeilCensus(seed=1)
+    quadratic, quartic = ("quadratic", 9973, 1, 9973, 5, None), ("quartic", 2, 1, 2, 1, 0)
+    assert quadratic[1:4] in census.quadratic_q and quartic in census.quartics
+    assert "newton.np_of_polynomial" in census.targets
+    calls = _count_calls(monkeypatch, census.targets)
+    for op in (quadratic, quartic):
+        ok, record = census.run(op)
+        assert ok and record[1] == "accepted" and not census.check(record)
+    assert sorted(calls) == sorted(census.targets)
+    # honda_tate reads the valuation polygon of each op through `weil`'s name
+    assert calls["newton.np_of_polynomial"] == 2
 
 
 def test_each_product_is_counted_under_its_own_name(monkeypatch):
