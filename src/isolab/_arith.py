@@ -77,8 +77,10 @@ def _miller_rabin(n):
 
 
 def require_prime(p):
-    """Raise InputError unless p is a prime below MAX_PRIME, where
+    """Raise InputError unless p is a prime int below MAX_PRIME, where
     `is_prime` is proven."""
+    if not isinstance(p, int):
+        raise InputError("p = %r is not an int" % (p,))
     if not is_prime(p):
         raise InputError("p = %r is not prime" % (p,))
     if p >= MAX_PRIME:

@@ -42,7 +42,9 @@ from isolab._arith import (
 )
 from isolab.cartier import CartierContext
 from isolab.errors import InputError
+from isolab.newton import np_of_polynomial
 from isolab.unramified import FiniteField, UElement, UnramifiedRing, default_modulus, finite_field, unramified_ring
+from isolab.weil import weil_from_real_trace
 from element_oracles import teichmuller_digits
 from qpoly import factor_degrees_by_powmod, q_divmod
 
@@ -118,6 +120,22 @@ class TestIntegers:
     def test_require_prime_refuses_with_its_message(self, p):
         with pytest.raises(InputError, match="^p = %s is not prime$" % re.escape(repr(p))):
             require_prime(p)
+
+    @pytest.mark.parametrize("p", [7.5, 2.0, Fraction(7), "7"])
+    def test_require_prime_refuses_what_is_not_an_int(self, p):
+        with pytest.raises(InputError, match="^p = %s is not an int$" % re.escape(repr(p))):
+            require_prime(p)
+
+    def test_a_p_that_is_not_an_int_is_refused_by_every_caller(self):
+        # the first once returned a polygon, the other two ended in an
+        # AttributeError on float.bit_length
+        with pytest.raises(InputError, match="is not an int"):
+            np_of_polynomial([1, 3, 7.5], 7.5)
+        with pytest.raises(InputError, match="is not an int"):
+            weil_from_real_trace(1, 7.5, 1)
+        finite_field.cache_clear()
+        with pytest.raises(InputError, match="is not an int"):
+            finite_field(2.0, 1)
 
     def test_large_primes(self):
         assert is_prime(2**61 - 1) and is_prime(1000000007)

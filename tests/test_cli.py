@@ -1,5 +1,6 @@
 """End-to-end CLI: subcommands, exit codes, determinism, JSON round trips."""
 
+import ast
 import hashlib
 import io
 import json
@@ -21,7 +22,7 @@ from isolab.errors import InputError
 from isolab import newton
 from isolab.newton import np_from_pairs
 from isolab.poset import MAX_POSET_HEIGHT
-from isolab.semimodule import MAX_SEMIMODULES
+from isolab.semimodule import MAX_GAPS, MAX_SEMIMODULES, sm_principal
 from isolab.unramified import MAX_FIELD_BITS
 from isolab.weil import MAX_Q_BITS, weil_verify
 from isolab.witt import MAX_GHOST_BITS, WittContext
@@ -355,6 +356,10 @@ class TestExitCodes:
             (["poset", "build", "--h", "30", "--d", "15"], MAX_POSET_HEIGHT),
             (["semimod", "enumerate", "--m", "11", "--n", "12"], MAX_SEMIMODULES),
             (["semimod", "enumerate", "--m", "2", "--n", "2001"], MAX_SEMIMODULES),
+            (["semimod", "normalize", "--m", "100003", "--n", "100019", "--tail", "0"], MAX_GAPS),
+            (["semimod", "normalize", "--json", '{"m": 100003, "n": 100019, "heads": []}'], MAX_GAPS),
+            (["semimod", "dual", "--m", "2", "--n", str(2 * MAX_GAPS + 3), "--tail", "0"], MAX_GAPS),
+            (["semimod", "from-jumps", "--m", "3", "--n", str(MAX_GAPS + 3), "--jumps", "0"], MAX_GAPS),
             (["weil-trace", "--beta", "1", "--p", "2", "--n", "1000000000"], MAX_Q_BITS),
             (["weil", "verify", "--minpoly", "1,-1,2", "--p", "2", "--n", "1000000000"], MAX_Q_BITS),
             (["np-poly", "--coeffs", "1,1", "--p", str(MAX_PRIME)], MAX_PRIME),
@@ -417,6 +422,15 @@ class TestExitCodes:
         assert main(add + [str(below)]) == 0
         assert main(add + [str(above)]) == 2
         assert "field size %d^1 exceeds the cap of %d bits" % (above, MAX_FIELD_BITS) in capsys.readouterr().err
+        # (2, n) has r = (n - 1) / 2 gaps
+        normalize = ["semimod", "normalize", "--m", "2", "--tail", "0", "--n"]
+        assert main(normalize + [str(2 * MAX_GAPS + 1)]) == 0
+        assert capsys.readouterr().out.endswith(",%d} u [%d,oo)\n" % (2 * MAX_GAPS - 1, 2 * MAX_GAPS))
+        assert main(normalize + [str(2 * MAX_GAPS + 3)]) == 2
+        assert "cap of %d" % MAX_GAPS in capsys.readouterr().err
+        assert sm_principal(2, 2 * MAX_GAPS + 1).r == MAX_GAPS
+        with pytest.raises(InputError, match="cap of %d" % MAX_GAPS):
+            sm_principal(2, 2 * MAX_GAPS + 3)
 
     def test_semimodule_cap_is_inclusive(self, capsys, monkeypatch):
         # (4,5) has 14 types and (2,29) has 15
@@ -1054,3 +1068,20 @@ def test_importing_the_cli_loads_no_dataclass_machinery():
     code = "import sys, isolab.cli; print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+def test_every_cap_is_named_in_the_readme():
+    # a cap refuses requests, so README.md names each module-level MAX_*
+    # constant under src/isolab, as module.NAME
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    caps = [
+        "%s.%s" % (path.stem, target.id)
+        for path in sorted((root / "src" / "isolab").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    ]
+    assert len(caps) >= 13
+    assert [cap for cap in caps if cap not in readme] == []

@@ -1,5 +1,6 @@
 """Semimodule normalization, duality, enumeration, jump sets."""
 
+import random
 from itertools import combinations
 from math import comb, gcd
 
@@ -79,6 +80,151 @@ def principal_by_closure(m, n):
                 members.add(y)
                 frontier.append(y)
     return SemiModule(m, n, sorted(x for x in range(2 * r) if x in members))
+
+
+# The set-based semantics the gap-count representation replaced, kept as an
+# oracle: a type is its head set, tested by membership.
+
+
+def oracle_refusal(m, n, heads):
+    """The message the head-set constructor refuses with, or None."""
+    if m < 1 or n < 1 or gcd(m, n) != 1:
+        return "m, n must be coprime positive integers"
+    r = (m - 1) * (n - 1) // 2
+    members = set(heads)
+    if len(heads) != r or len(members) != r:
+        return "expected exactly r = %d distinct heads" % r
+    if heads and (min(heads) < 0 or max(heads) >= 2 * r):
+        return "normalized heads live in [0, 2r)"
+    if any(b < 2 * r and b not in members for a in heads for b in (a + m, a + n)):
+        return "head set is not closed under +m, +n"
+    return None
+
+
+def oracle_contains(A, x):
+    return x >= 2 * A.r or x in set(A.heads)
+
+
+def oracle_gaps(A):
+    heads = set(A.heads)
+    return tuple(x for x in range(2 * A.r) if x not in heads)
+
+
+def oracle_dual_heads(A):
+    return tuple(sorted(2 * A.r - 1 - g for g in oracle_gaps(A)))
+
+
+def oracle_normalize(finite_part, tail_start, m, n):
+    """Heads of the translate with r gaps, by a scan of [0, tail), or the
+    message it is refused with."""
+    if gcd(m, n) != 1:
+        return "m, n must be coprime"
+    members = {x for x in set(finite_part) if x < tail_start}
+    for x in members:
+        for step in (m, n):
+            if x + step < tail_start and x + step not in members:
+                return "set not closed under +%d at %d" % (step, x)
+    r = (m - 1) * (n - 1) // 2
+    lo = min(members) if members else tail_start
+    shifted = {x - lo for x in members}
+    gaps = sum(1 for x in range(tail_start - lo) if x not in shifted)
+    if gaps > r:
+        return "gap count %d exceeds r = %d; not a valid (%d,%d)-semimodule" % (gaps, r, m, n)
+    delta = r - gaps
+    full = {x + delta for x in shifted}
+    tail = tail_start - lo + delta
+    assert all(x in full for x in range(2 * r, tail))
+    heads = tuple(x for x in range(2 * r) if x in full or x >= tail)
+    return oracle_refusal(m, n, heads) or heads
+
+
+def small_pairs(r_max):
+    """Every coprime (m, n), either order, with 1 < m, n and r <= r_max, and
+    a few with r = 0."""
+    pairs = [(1, 1), (1, 2), (3, 1), (1, 7)]
+    for m in range(2, 2 * r_max + 2):
+        for n in range(2, 2 * r_max + 2):
+            if gcd(m, n) == 1 and (m - 1) * (n - 1) // 2 <= r_max:
+                pairs.append((m, n))
+    return pairs
+
+
+def outcome(f, *args):
+    try:
+        A = f(*args)
+    except InputError as ex:
+        return str(ex)
+    return A.heads
+
+
+class TestAgainstTheSetOracle:
+    def test_every_type_with_r_up_to_12(self):
+        for m, n in small_pairs(12):
+            for A in sm_enumerate(m, n):
+                assert [A.contains(x) for x in range(-3, 2 * A.r + 3)] == [
+                    oracle_contains(A, x) for x in range(-3, 2 * A.r + 3)
+                ], (m, n, A.heads)
+                assert A.gaps() == oracle_gaps(A)
+                assert sm_dual(A).heads == oracle_dual_heads(A)
+                assert oracle_refusal(m, n, A.heads) is None
+
+    def test_constructor_accepts_and_refuses_as_the_oracle(self):
+        rng = random.Random(31)
+        for m, n in small_pairs(10):
+            r = (m - 1) * (n - 1) // 2
+            mods = [list(A.heads) for A in sm_enumerate(m, n)]
+            for _ in range(40):
+                heads = list(rng.choice(mods))
+                kind = rng.randrange(5)
+                if kind == 0:  # wrong count
+                    heads = heads[1:] if heads and rng.random() < 0.5 else heads + [rng.randrange(2 * r + 1)]
+                elif kind == 1 and heads:  # a duplicate in place of a head
+                    heads[rng.randrange(r)] = rng.choice(heads)
+                elif kind == 2 and heads:  # one head out of range
+                    heads[rng.randrange(r)] = rng.choice((-1, -5, 2 * r, 2 * r + 3))
+                elif kind == 3 and heads:  # one head moved, mostly not closed
+                    heads[rng.randrange(r)] = rng.randrange(2 * r)
+                elif kind == 4:  # any r-subset of [0, 2r)
+                    heads = rng.sample(range(2 * r), r)
+                rng.shuffle(heads)
+                want = oracle_refusal(m, n, heads)
+                got = outcome(SemiModule, m, n, heads)
+                assert got == (want or tuple(sorted(heads))), (m, n, heads)
+
+    def test_normalize_as_the_oracle(self):
+        rng = random.Random(32)
+        for m, n in small_pairs(10) + [(2, 4), (0, 1), (-1, 2), (6, 9)]:
+            r = abs((m - 1) * (n - 1)) // 2
+            mods = [A.heads for A in sm_enumerate(m, n)] if m > 0 and n > 0 and gcd(m, n) == 1 else [()]
+            for _ in range(30):
+                shift = rng.randrange(-9, 10)
+                heads = rng.choice(mods)
+                members = {h + shift for h in heads}
+                tail = 2 * r + shift
+                kind = rng.randrange(5)
+                if kind == 1:  # not closed: a member added or removed
+                    members ^= {rng.randrange(shift - 2, tail + 2)}
+                elif kind == 2:  # members at and past the tail are ignored
+                    members |= {tail + rng.randrange(4)}
+                elif kind == 3:  # a generated set, with more than r gaps
+                    tail = shift + rng.randrange(2 * r + m + n + 2)
+                    members = {x for x in range(shift, tail) if (x - shift) % max(m, n, 1) == 0}
+                elif kind == 4:  # the tail moved down into the heads
+                    tail -= rng.randrange(1, 4)
+                got = outcome(sm_normalize, members, tail, m, n)
+                assert got == oracle_normalize(members, tail, m, n), (m, n, members, tail)
+
+    def test_dual_at_scale(self):
+        # at (3, 16001), r = 16000: the head-set dual took seconds here
+        m, n = 3, 16001
+        members = {x + 5 for x in range(n) if x % 3 == 0 or x % 3 == 1 and x >= 7}  # <0, 7>, moved by 5
+        A = sm_normalize(members, n + 5, m, n)
+        assert A.heads == oracle_normalize(members, n + 5, m, n)
+        assert A.r == 16000 and A.gaps() == oracle_gaps(A)
+        assert sm_dual(A).heads == oracle_dual_heads(A)
+        assert sm_dual(sm_dual(A)) == A
+        sample = list(range(-3, 40)) + list(range(2 * A.r - 40, 2 * A.r + 3))
+        assert [A.contains(x) for x in sample] == [oracle_contains(A, x) for x in sample]
 
 
 class TestPrincipal:
